@@ -19,9 +19,9 @@ check: check-phases
 check-phases:
 	PYTHONPATH=src $(PYTHON) -m repro.check.phases src/repro/algorithms
 
-# Re-run the simulator performance benchmark (all three sync paths)
-# and fail if the fastest path's events/sec regressed >20% vs the
-# committed benchmarks/BENCH_perf.json.
+# Re-run the simulator performance benchmark (both sync paths) and
+# fail if the epoch path's events/sec regressed >20% vs the committed
+# benchmarks/BENCH_perf.json.
 bench:
 	benchmarks/run_perf.sh
 
@@ -31,19 +31,19 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_perf.py --smoke
 
 # Observability overhead gate: a run with collection disabled (the
-# default) must stay within 3% of the pre-instrumentation baseline.
+# default) must stay within 3% of the committed epoch baseline.
 bench-obs:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_obs.py \
 		--check benchmarks/BENCH_perf.json --tolerance 0.03
 
 # Sanitizer overhead gate: a run with the sanitizer disarmed (the
-# default) must stay within 3% of the pre-instrumentation baseline.
+# default) must stay within 3% of the committed epoch baseline.
 bench-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_check.py \
 		--check benchmarks/BENCH_perf.json --tolerance 0.03
 
 # Fault-injection overhead gate: a run with faults disarmed (the
-# default) must stay within 3% of the pre-fault-injection baseline;
+# default) must stay within 3% of the committed epoch baseline;
 # also asserts the armed path perturbs timings deterministically.
 bench-faults:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py \
@@ -51,7 +51,7 @@ bench-faults:
 
 # Topology smoke: the flat machine must match the pre-topology golden
 # timings exactly, and a small cluster grid must report bit-identical
-# timings under the fast and epoch sync paths.
+# timings under the per-message oracle and the epoch kernel.
 bench-topology:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_topology.py
 

@@ -2,9 +2,8 @@
 
 Re-runs the fig2 sample-sort sweep (the same grid as ``bench_perf.py``)
 with the :mod:`repro.check` phase-conflict sanitizer *disarmed* — the
-default for all experiment runs — and compares events/sec against the
-committed ``benchmarks/BENCH_perf.json`` fast-path baseline, which
-predates the instrumentation.  The ``queue.sanitizer is not None``
+default for all experiment runs — and compares epoch-path events/sec
+against the committed ``benchmarks/BENCH_perf.json`` epoch baseline.  The ``queue.sanitizer is not None``
 guards are supposed to cost one load + branch per enqueue call site,
 so the budget matches ``bench_obs.py``: **< 3%** by default.
 
@@ -67,7 +66,7 @@ def _live_check_objects() -> int:
 
 def run_benchmark(jobs: int, repeat: int = 5, armed_repeat: int = 1) -> dict:
     check.disarm()
-    disarmed = run_sweep_variant(fast_sync=True, jobs=jobs, repeat=repeat)
+    disarmed = run_sweep_variant("epoch", jobs=jobs, repeat=repeat)
     leaked = _live_check_objects()
     if leaked:
         raise AssertionError(
@@ -77,7 +76,7 @@ def run_benchmark(jobs: int, repeat: int = 5, armed_repeat: int = 1) -> dict:
 
     check.arm("warn")
     try:
-        armed = run_sweep_variant(fast_sync=True, jobs=jobs, repeat=armed_repeat)
+        armed = run_sweep_variant("epoch", jobs=jobs, repeat=armed_repeat)
         n_diags = len(check.diagnostics())
     finally:
         check.disarm()
@@ -103,10 +102,10 @@ def run_benchmark(jobs: int, repeat: int = 5, armed_repeat: int = 1) -> dict:
 
 def check_overhead(record: dict, baseline_path: str, tolerance: float) -> int:
     """Exit 1 if the *disarmed* path regressed beyond tolerance vs the
-    pre-instrumentation baseline's fast-path events/sec."""
+    committed baseline's epoch-path events/sec."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    base_eps = baseline["fast"]["events_per_sec"]
+    base_eps = baseline["epoch"]["events_per_sec"]
     new_eps = record["disarmed"]["events_per_sec"]
     floor = base_eps * (1.0 - tolerance)
     overhead = 1.0 - new_eps / base_eps

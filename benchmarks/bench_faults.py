@@ -2,8 +2,8 @@
 
 Re-runs the fig2 sample-sort sweep (the same grid as ``bench_perf.py``)
 with :mod:`repro.faults` *disarmed* — the default for all experiment
-runs — and compares events/sec against the committed
-``benchmarks/BENCH_perf.json`` fast-path baseline.  The integration
+runs — and compares epoch-path events/sec against the committed
+``benchmarks/BENCH_perf.json`` epoch baseline.  The integration
 sites (network wire, sync engine, membank driver) all guard on
 ``faults is None`` / ``machine.faults is None``, one load + branch per
 site, so the budget matches ``bench_obs.py``/``bench_check.py``:
@@ -57,7 +57,7 @@ def _live_fault_states() -> int:
 
 def run_benchmark(jobs: int, repeat: int = 5, armed_repeat: int = 1) -> dict:
     faults.disarm()
-    disabled = run_sweep_variant(fast_sync=True, jobs=jobs, repeat=repeat)
+    disabled = run_sweep_variant("epoch", jobs=jobs, repeat=repeat)
     leaked = _live_fault_states()
     if leaked:
         raise AssertionError(
@@ -69,9 +69,7 @@ def run_benchmark(jobs: int, repeat: int = 5, armed_repeat: int = 1) -> dict:
     try:
         # repeat>=2 exercises run_sweep_variant's determinism assertion
         # on the armed path: identical fault schedules across passes.
-        armed = run_sweep_variant(
-            fast_sync=True, jobs=jobs, repeat=max(2, armed_repeat)
-        )
+        armed = run_sweep_variant("epoch", jobs=jobs, repeat=max(2, armed_repeat))
         tally = faults.drain_tally()
     finally:
         faults.disarm()
@@ -100,10 +98,10 @@ def run_benchmark(jobs: int, repeat: int = 5, armed_repeat: int = 1) -> dict:
 
 def check_overhead(record: dict, baseline_path: str, tolerance: float) -> int:
     """Exit 1 if the *disabled* path regressed beyond tolerance vs the
-    pre-fault-injection baseline's fast-path events/sec."""
+    committed baseline's epoch-path events/sec."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    base_eps = baseline["fast"]["events_per_sec"]
+    base_eps = baseline["epoch"]["events_per_sec"]
     new_eps = record["disabled"]["events_per_sec"]
     floor = base_eps * (1.0 - tolerance)
     overhead = 1.0 - new_eps / base_eps

@@ -2,9 +2,9 @@
 
 Re-runs the fig2 sample-sort sweep (the same grid as
 ``bench_perf.py``) with observability *disabled* — the default for all
-experiment runs — and compares events/sec against the committed
-``benchmarks/BENCH_perf.json`` fast-path baseline, which predates the
-instrumentation.  The ``sim.obs is not None`` guards are supposed to
+experiment runs — and compares epoch-path events/sec against the
+committed ``benchmarks/BENCH_perf.json`` epoch baseline, which predates
+the epoch kernel's own span instrumentation.  The ``sim.obs is not None`` guards are supposed to
 cost one load + branch per site, so the budget is tight: **< 3%** by
 default (vs the 20% whole-benchmark gate in ``run_perf.sh``).
 
@@ -60,7 +60,7 @@ def _live_obs_objects() -> int:
 
 def run_benchmark(jobs: int, repeat: int = 5, enabled_repeat: int = 1) -> dict:
     obs.disable()
-    disabled = run_sweep_variant(fast_sync=True, jobs=jobs, repeat=repeat)
+    disabled = run_sweep_variant("epoch", jobs=jobs, repeat=repeat)
     leaked = _live_obs_objects()
     if leaked:
         raise AssertionError(
@@ -70,7 +70,7 @@ def run_benchmark(jobs: int, repeat: int = 5, enabled_repeat: int = 1) -> dict:
 
     obs.enable()
     try:
-        enabled = run_sweep_variant(fast_sync=True, jobs=jobs, repeat=enabled_repeat)
+        enabled = run_sweep_variant("epoch", jobs=jobs, repeat=enabled_repeat)
         n_spans = sum(len(run.spans) for run in obs.runs())
     finally:
         obs.disable()
@@ -95,10 +95,10 @@ def run_benchmark(jobs: int, repeat: int = 5, enabled_repeat: int = 1) -> dict:
 
 def check_overhead(record: dict, baseline_path: str, tolerance: float) -> int:
     """Exit 1 if the *disabled* path regressed beyond tolerance vs the
-    pre-instrumentation baseline's fast-path events/sec."""
+    committed baseline's epoch-path events/sec."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    base_eps = baseline["fast"]["events_per_sec"]
+    base_eps = baseline["epoch"]["events_per_sec"]
     new_eps = record["disabled"]["events_per_sec"]
     floor = base_eps * (1.0 - tolerance)
     overhead = 1.0 - new_eps / base_eps

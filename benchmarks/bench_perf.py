@@ -1,11 +1,11 @@
 """Simulator performance benchmark: the Figure 2 sample-sort sweep.
 
 Runs the fig2 grid (p=16, fast-mode n values, 3 reps) once per sync
-path — the per-chunk ``slow`` oracle, the batched-send ``fast`` DES
-path, and the vectorized ``epoch`` kernel — and records wall-clock
-seconds, total kernel events, events/second, and peak RSS for each,
-plus the pairwise speedups and a per-pair bit-identity verdict on the
-simulated timings (``comm_cycles`` equality across every sweep point).
+path — the per-message ``slow`` oracle and the vectorized ``epoch``
+kernel — and records wall-clock seconds, total kernel events,
+events/second, and peak RSS for each, plus the speedup and a
+bit-identity verdict on the simulated timings (``comm_cycles``
+equality across every sweep point).
 
 Usage::
 
@@ -15,12 +15,12 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf.py \
         --check benchmarks/BENCH_perf.json                       # regression gate
 
-``--check BASELINE`` compares the fresh fastest-path (epoch)
-events/sec against the committed baseline and exits non-zero if it has
-regressed by more than ``--tolerance`` (default 20%) — this is what
-``make bench`` runs.  ``--smoke`` shrinks the grid to one pass so CI
-can cheaply assert that all three paths still report bit-identical
-timings; it always fails the run on a timing mismatch.
+``--check BASELINE`` compares the fresh epoch-path events/sec against
+the committed baseline and exits non-zero if it has regressed by more
+than ``--tolerance`` (default 20%) — this is what ``make bench`` runs.
+``--smoke`` shrinks the grid to one pass so CI can cheaply assert that
+both paths still report bit-identical timings; it always fails the run
+on a timing mismatch.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ SMOKE_REPS = 1
 
 #: Measurement order: slowest first so the committed record reads
 #: oracle -> optimised.
-SYNC_PATHS = ("slow", "fast", "epoch")
+SYNC_PATHS = ("slow", "epoch")
 
 
 def _bench_point(task) -> tuple:
@@ -87,23 +87,15 @@ def _peak_rss_mb() -> float:
 
 
 def run_sweep_variant(
-    fast_sync=None, jobs: int = 1, repeat: int = 3, sync_path=None, ns=None, reps=None
+    sync_path: str, jobs: int = 1, repeat: int = 3, ns=None, reps=None
 ) -> dict:
-    """Run the whole grid one way; returns the measurement record.
-
-    The path is named by ``sync_path`` ("slow" / "fast" / "epoch");
-    ``fast_sync`` is the older boolean spelling kept for the sibling
-    benchmarks (bench_obs/bench_check/bench_faults), mapped to
-    "fast"/"slow" here rather than through the deprecated config field.
+    """Run the whole grid on one sync path ("slow" / "epoch"); returns
+    the measurement record.
 
     The grid is repeated ``repeat`` times and the *minimum* wall time is
     reported — the standard estimator for "how fast is the code", since
     scheduler and frequency noise only ever add time.
     """
-    if sync_path is None:
-        if fast_sync is None:
-            raise ValueError("pass sync_path ('slow'/'fast'/'epoch') or fast_sync")
-        sync_path = "fast" if fast_sync else "slow"
     machine = MachineConfig()  # p=16, Table 2/3 defaults
     tasks = [
         (machine, n, SWEEP_SEED + 1000 * r + 1, sync_path)
@@ -137,8 +129,7 @@ def run_benchmark(jobs: int, repeat: int = 3, smoke: bool = False) -> dict:
         for path in SYNC_PATHS
     }
     pairs = {
-        "fast_vs_slow": variants["fast"]["comm_cycles"] == variants["slow"]["comm_cycles"],
-        "epoch_vs_fast": variants["epoch"]["comm_cycles"] == variants["fast"]["comm_cycles"],
+        "epoch_vs_slow": variants["epoch"]["comm_cycles"] == variants["slow"]["comm_cycles"],
     }
     for rec in variants.values():
         del rec["comm_cycles"]  # raw per-point data, not a benchmark metric
@@ -157,16 +148,10 @@ def run_benchmark(jobs: int, repeat: int = 3, smoke: bool = False) -> dict:
     record.update(
         {
             "speedup": round(
-                variants["slow"]["wall_seconds"] / variants["fast"]["wall_seconds"], 3
-            ),
-            "speedup_epoch_vs_fast": round(
-                variants["fast"]["wall_seconds"] / variants["epoch"]["wall_seconds"], 3
+                variants["slow"]["wall_seconds"] / variants["epoch"]["wall_seconds"], 3
             ),
             "event_ratio": round(
-                variants["slow"]["sim_events"] / variants["fast"]["sim_events"], 3
-            ),
-            "event_ratio_epoch": round(
-                variants["fast"]["sim_events"] / variants["epoch"]["sim_events"], 3
+                variants["slow"]["sim_events"] / variants["epoch"]["sim_events"], 3
             ),
             "timings_identical_pairs": pairs,
             "timings_identical": all(pairs.values()),
@@ -176,19 +161,14 @@ def run_benchmark(jobs: int, repeat: int = 3, smoke: bool = False) -> dict:
 
 
 def check_regression(record: dict, baseline_path: str, tolerance: float) -> int:
-    """Exit status 1 if fastest-path events/sec regressed beyond tolerance.
-
-    The gate runs on the epoch path (the fastest); older baselines
-    without an ``epoch`` record fall back to the fast path.
-    """
+    """Exit status 1 if epoch-path events/sec regressed beyond tolerance."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
-    gate_path = "epoch" if "epoch" in baseline else "fast"
-    base_eps = baseline[gate_path]["events_per_sec"]
-    new_eps = record[gate_path]["events_per_sec"]
+    base_eps = baseline["epoch"]["events_per_sec"]
+    new_eps = record["epoch"]["events_per_sec"]
     floor = base_eps * (1.0 - tolerance)
     print(
-        f"[check] {gate_path}-path events/sec: baseline={base_eps:,.0f}, "
+        f"[check] epoch-path events/sec: baseline={base_eps:,.0f}, "
         f"current={new_eps:,.0f}, floor={floor:,.0f} (tolerance {tolerance:.0%})"
     )
     if new_eps < floor:

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Performance regression gate: re-run the fig2 sample-sort sweep
-# benchmark on all three sync paths and fail if the fastest (epoch)
-# path's events/sec has dropped more than 20% below the committed
-# baseline (benchmarks/BENCH_perf.json), or if any two paths disagree
-# on simulated timings.
+# benchmark on both sync paths and fail if the epoch path's events/sec
+# has dropped more than 20% below the committed baseline
+# (benchmarks/BENCH_perf.json), or if the paths disagree on simulated
+# timings.
 #
 # Usage: benchmarks/run_perf.sh [extra bench_perf.py args]
 # (invoked by `make bench`)

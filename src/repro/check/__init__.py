@@ -47,7 +47,7 @@ Usage
 
 ``check.arm("warn")`` reports diagnostics on stderr (and through
 ``repro.obs`` counters when observability is enabled) without raising.
-State is process-global (the ``QSM_OBS`` / ``QSM_FAST_SYNC`` idiom) so
+State is process-global (the ``QSM_OBS`` / ``QSM_SYNC_PATH`` idiom) so
 ``--jobs N`` worker processes inherit the armed mode through the
 ``QSM_SANITIZE`` environment variable.
 """

@@ -70,10 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     timeout_help = "kill a sweep point's worker after this many seconds"
     strict_help = "exit non-zero if any sweep point failed (default: report and continue)"
     sync_path_help = (
-        "force the sync-engine path for every sweep point: 'slow' (per-chunk "
-        "DES oracle), 'fast' (batched DES, the default), or 'epoch' (the "
-        "vectorized phase kernel; automatically degrades to 'fast' when a "
-        "feature needs per-message fidelity — see docs/PERFORMANCE.md); "
+        "force the sync-engine path for every sweep point: 'epoch' (the "
+        "vectorized phase kernel, the default; automatically degrades to "
+        "'slow' when a feature needs per-message events — see "
+        "docs/PERFORMANCE.md) or 'slow' (the per-message DES oracle); "
         "sets QSM_SYNC_PATH so --jobs N workers inherit it"
     )
     cache_help = (
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", metavar="SPEC", help=topology_help)
         p.add_argument("--cache", metavar="DIR", help=cache_help)
         p.add_argument(
-            "--sync-path", choices=["slow", "fast", "epoch"],
+            "--sync-path", choices=["slow", "epoch"],
             dest="sync_path", metavar="PATH", help=sync_path_help,
         )
         p.add_argument("--faults", metavar="SPEC", help=faults_help)

@@ -22,16 +22,15 @@ pays the NetworkConfig tier to inject and then contends for the
 destination **node's** shared wire :class:`Resource` — every core of a
 node shares that ingress bandwidth, which is exactly the receive-side
 bottleneck the cluster model adds (see docs/MODEL.md).  Every message
-still crosses exactly one receive resource, so the fast analytic send
-path and the epoch kernel stay bit-identical to the per-message oracle.
+still crosses exactly one receive resource, so the epoch kernel stays
+bit-identical to this per-message model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from heapq import heappush
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.machine.config import FlatTopology, NetworkConfig, Topology
 from repro.sim import Event, Process, Resource, Simulator, Store
@@ -50,6 +49,9 @@ class Message:
     payload: Any = None
     sent_at: float = 0.0
     delivered_at: float = 0.0
+    #: Heap tie-break number reserved for the arrival (see
+    #: :meth:`~repro.sim.engine.Simulator.reserve`), or ``None``.
+    order: Optional[int] = None
     # Set by transfer() when a caller wants to await delivery.
     _done_event: Optional[Event] = field(default=None, repr=False, compare=False)
 
@@ -154,11 +156,6 @@ class Network:
             Resource(sim, capacity=1, name=f"nic{pid}.recv") for pid in range(p)
         ]
         self.inbox: List[Store] = [Store(sim, name=f"inbox{pid}") for pid in range(p)]
-        #: Per-node direct-delivery hooks (``fn(msg) -> consumed``).  An
-        #: endpoint registers here so fast-path deliveries skip the
-        #: inbox/pump round-trip; messages from the per-message path (or
-        #: for nodes without an endpoint) still land in the inbox.
-        self.deliver_hook: List[Optional[Any]] = [None] * p
         self.latency_stat = TallyStat()
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -167,6 +164,8 @@ class Network:
         # Receiver cycles owed for NACK handling, collected by the next
         # successful delivery at that node.
         self._bounce_debt = [0.0] * p
+        #: Messages waiting for a receive resource, by their request.
+        self._queued: Dict[Any, Tuple[Message, float]] = {}
         if sim.obs is not None:
             sim.obs.add_finalizer(self._harvest_obs)
 
@@ -182,108 +181,16 @@ class Network:
 
     # ------------------------------------------------------------------
     @property
-    def supports_fast_path(self) -> bool:
-        """True when batched sends are timing-equivalent to per-message
-        sends: the receiver-overrun model must be off, since bounces
-        depend on instantaneous queue depth that the analytic send
-        schedule does not track — and network fault injection must be
-        off, since the analytic schedule cannot model per-message
-        random drops or jitter."""
+    def ideal_delivery(self) -> bool:
+        """True when every delivery is fixed by its injection: receive
+        buffers are unbounded, so no message bounces off a full one, and
+        no fault plan drops or delays wire crossings.  The epoch kernel
+        prices only such networks, and only on them does a sync message
+        keep the arrival place its sender reserved (see
+        :meth:`send_from`)."""
         if self.faults is not None and self.faults.plan.perturbs_network:
             return False
         return self.config.recv_buffer_slots == 0
-
-    def send_burst_from(self, src: int, tag: Any, entries: Iterable[Tuple]):
-        """Generator: inject a back-to-back burst of messages from *src*.
-
-        ``entries`` is a sequence of ``(dst, nbytes)`` or
-        ``(dst, nbytes, gap_before)`` — the optional gap models CPU time
-        (e.g. per-destination marshalling) spent before that message's
-        injection begins.  Semantically identical to yielding
-        ``timeout(gap_before)`` then :meth:`send_from` once per entry,
-        but when the send engine is free and the fast path is supported,
-        the per-chunk event storm (grant, hold, wire bootstrap, latency
-        timeout per message) collapses into one analytically-computed
-        occupancy: injection completion times accumulate with exactly
-        the same float operations the step-by-step path performs
-        (``t = t + gap``, ``t = t + message_send_cycles(nbytes)``),
-        arrivals are deferred to ``t + latency``, and the receive side
-        still issues a real FCFS request per message so receiver
-        contention is modelled bit-for-bit identically.  Returns once
-        the local NIC is free again, like :meth:`send_from`.
-        """
-        entries = list(entries)
-        req = self.send_engine[src].try_claim() if self.supports_fast_path else None
-        if req is None:
-            # Contended engine (or overrun model active): fall back to
-            # the per-message oracle path.
-            for dst, nbytes, *rest in entries:
-                if rest and rest[0]:
-                    yield self.sim.timeout(rest[0])
-                msg = Message(src=src, dst=dst, tag=tag, nbytes=nbytes)
-                yield from self.send_from(msg)
-            return
-
-        sim = self.sim
-        cfg = self.config
-        tiers = self._tiers
-        arrive = self._fast_arrive
-        queue = sim._queue
-        seq = sim._seq
-        burst_bytes = burst_msgs = 0
-        t = t_begin = sim.now
-        if tiers is None:
-            latency = cfg.latency_cycles
-            send_cycles = cfg.message_send_cycles
-            for dst, nbytes, *rest in entries:
-                msg = Message(src=src, dst=dst, tag=tag, nbytes=nbytes)
-                self._check_ids(msg)
-                # Same float accumulation as the chained timeouts.
-                if rest and rest[0]:
-                    t = t + rest[0]
-                t = t + send_cycles(nbytes)
-                msg.sent_at = t
-                burst_bytes += nbytes
-                burst_msgs += 1
-                # Inlined sim.defer_at (t + latency can never precede now).
-                heappush(queue, (t + latency, next(seq), _Deferred(partial(arrive, msg))))
-        else:
-            # Cluster topology: per-destination tier pricing, same
-            # chained-adds discipline (the epoch tables mirror these
-            # float operations elementwise).
-            node_of = tiers.node_of
-            my_node = node_of[src]
-            for dst, nbytes, *rest in entries:
-                msg = Message(src=src, dst=dst, tag=tag, nbytes=nbytes)
-                self._check_ids(msg)
-                if rest and rest[0]:
-                    t = t + rest[0]
-                if node_of[dst] == my_node:
-                    t = t + (tiers.intra_overhead + nbytes * tiers.intra_gap)
-                    latency = tiers.intra_latency
-                else:
-                    t = t + (tiers.inter_overhead + nbytes * tiers.inter_gap)
-                    latency = tiers.inter_latency
-                msg.sent_at = t
-                burst_bytes += nbytes
-                burst_msgs += 1
-                heappush(queue, (t + latency, next(seq), _Deferred(partial(arrive, msg))))
-        self.bytes_sent += burst_bytes
-        self.messages_sent += burst_msgs
-        obs = sim.obs
-        if obs is not None:
-            # The burst's NIC occupancy is known analytically here, so
-            # record it as one already-complete span on the sender track.
-            obs.complete(
-                "net.burst", src, t_begin, t, msgs=burst_msgs, bytes=burst_bytes
-            )
-        # Resume the sender when the engine drains (a pre-triggered
-        # event at the analytic completion time, like a Timeout).
-        done = Event(sim)
-        done._value = None
-        sim.schedule_at(done, t)
-        yield done
-        self.send_engine[src].unclaim(req)
 
     def _recv_resource(self, msg: Message) -> Resource:
         """The single FCFS resource this delivery drains through: the
@@ -293,61 +200,6 @@ class Network:
         if tiers is None or tiers.node_of[msg.src] == tiers.node_of[msg.dst]:
             return self.recv_engine[msg.dst]
         return self.node_wire[tiers.node_of[msg.dst]]
-
-    def _fast_arrive(self, msg: Message) -> None:
-        """Message hits the receiving NIC: claim the FCFS engine."""
-        tiers = self._tiers
-        if tiers is None:
-            engine = self.recv_engine[msg.dst]
-            hold = self.config.message_recv_cycles(msg.nbytes) + self._bounce_debt[msg.dst]
-        elif tiers.node_of[msg.src] == tiers.node_of[msg.dst]:
-            engine = self.recv_engine[msg.dst]
-            hold = (
-                tiers.intra_overhead + msg.nbytes * tiers.intra_gap
-            ) + self._bounce_debt[msg.dst]
-        else:
-            engine = self.node_wire[tiers.node_of[msg.dst]]
-            hold = (
-                tiers.inter_overhead + msg.nbytes * tiers.wire_gap
-            ) + self._bounce_debt[msg.dst]
-        self._bounce_debt[msg.dst] = 0.0
-        req = engine.try_claim()
-        if req is not None:
-            # Free engine: the grant would fire at this same instant, so
-            # occupy it directly without the grant event round-trip.
-            sim = self.sim
-            heappush(
-                sim._queue,
-                (sim._now + hold, next(sim._seq), _Deferred(partial(self._fast_deliver, msg, engine, req))),
-            )
-            return
-        # Engine busy: join the FCFS queue; the hook runs synchronously
-        # when the releaser frees the slot (same instant a grant event
-        # would have fired), skipping the grant round-trip.
-        engine.wait_claim(partial(self._fast_hold, msg, engine, hold))
-
-    def _fast_hold(self, msg: Message, engine: Resource, hold: float, req) -> None:
-        """Receive engine granted: occupy it for the service time."""
-        sim = self.sim
-        heappush(
-            sim._queue,
-            (sim._now + hold, next(sim._seq), _Deferred(partial(self._fast_deliver, msg, engine, req))),
-        )
-
-    def _fast_deliver(self, msg: Message, engine: Resource, req) -> None:
-        """Service complete: free the engine and deposit the message."""
-        engine.unclaim(req)
-        msg.delivered_at = self.sim.now
-        self.latency_stat.record(msg.delivered_at - msg.sent_at)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.instant("net.deliver", msg.dst, src=msg.src, bytes=msg.nbytes)
-        hook = self.deliver_hook[msg.dst]
-        if hook is None or not hook(msg):
-            self.inbox[msg.dst].put(msg)
-        done = msg._done_event
-        if done is not None:
-            done.succeed(msg)
 
     def transfer(self, msg: Message) -> Process:
         """Launch the full life of *msg*; returns the (awaitable) process.
@@ -363,35 +215,85 @@ class Network:
     def send_from(self, msg: Message):
         """Generator for the *sender's* view: returns once the local NIC
         has finished injecting the message; delivery continues in the
-        background."""
+        background.
+
+        On an ideal network a message with a reserved ``order`` arrives
+        under that heap place, scheduled as soon as its injection starts,
+        so same-instant arrivals queue in reserved order; any other
+        message crosses the wire in a process of its own.
+        """
         self._check_ids(msg)
+        sim = self.sim
         tiers = self._tiers
         if tiers is None:
             send_cycles = self.config.message_send_cycles(msg.nbytes)
         else:
             send_cycles = tiers.send_cycles(msg.src, msg.dst, msg.nbytes)
-        yield from self.send_engine[msg.src].serve(send_cycles)
-        msg.sent_at = self.sim.now
+        engine = self.send_engine[msg.src]
+        req = engine.request()
+        yield req
+        reserved = msg.order is not None and self.ideal_delivery
+        if reserved:
+            arrival = sim.now + send_cycles + self._latency(msg)
+            sim.schedule_at(_Deferred(partial(self._arrive, msg)), arrival, msg.order)
+        yield sim.timeout(send_cycles)
+        engine.release(req)
+        msg.sent_at = sim.now
         self.bytes_sent += msg.nbytes
         self.messages_sent += 1
-        obs = self.sim.obs
+        obs = sim.obs
         if obs is not None:
             obs.instant("net.inject", msg.src, dst=msg.dst, bytes=msg.nbytes)
-        self.sim.process(self._wire_and_recv(msg))
+        if not reserved:
+            sim.process(self._wire_and_recv(msg))
 
     def _transfer_proc(self, msg: Message):
         yield from self.send_from(msg)
-        # Wait for delivery too.
+        # Wait for delivery too: _deliver succeeds the attached event.
         done = self.sim.event()
-        msg_tag = (msg, done)
-        # _wire_and_recv delivers to the inbox; emulate a join by
-        # re-running the tail here instead would double-deliver, so we
-        # watch the delivered_at field via a dedicated event. Simpler:
-        # the background process sets delivered_at and succeeds `done`
-        # if it finds one attached.
-        msg._done_event = done  # type: ignore[attr-defined]
+        msg._done_event = done
         yield done
         return msg
+
+    def _latency(self, msg: Message) -> float:
+        tiers = self._tiers
+        if tiers is None:
+            return self.config.latency_cycles
+        return tiers.latency(msg.src, msg.dst)
+
+    def _arrive(self, msg: Message) -> None:
+        """The message queues FCFS at its receive resource: service
+        starts now if it is idle, else in the event that delivers the
+        message ahead (not a later grant event), as in the epoch kernel."""
+        tiers = self._tiers
+        if tiers is None:
+            hold = self.config.message_recv_cycles(msg.nbytes) + self._bounce_debt[msg.dst]
+        else:
+            hold = tiers.recv_cycles(msg.src, msg.dst, msg.nbytes) + self._bounce_debt[msg.dst]
+        self._bounce_debt[msg.dst] = 0.0
+        engine = self._recv_resource(msg)
+        req = engine.request()
+        if req.triggered:
+            self.sim.defer(hold, partial(self._deliver, msg, engine, req))
+        else:
+            self._queued[req] = (msg, hold)
+
+    def _deliver(self, msg: Message, engine: Resource, req) -> None:
+        """Service done: start the next queued message, then deposit
+        this one in the destination inbox."""
+        granted = engine.release(req)
+        if granted is not None:
+            nxt, hold = self._queued.pop(granted)
+            self.sim.defer(hold, partial(self._deliver, nxt, engine, granted))
+        msg.delivered_at = self.sim.now
+        self.latency_stat.record(msg.delivered_at - msg.sent_at)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.instant("net.deliver", msg.dst, src=msg.src, bytes=msg.nbytes)
+        self.inbox[msg.dst].put(msg)
+        done = msg._done_event
+        if done is not None:
+            done.succeed(msg)
 
     def _wire_and_recv(self, msg: Message):
         tiers = self._tiers
@@ -406,10 +308,7 @@ class Network:
             if not delivered:
                 return  # message declared lost; faults.fatal is set
         else:
-            if tiers is None:
-                latency = self.config.latency_cycles
-            else:
-                latency = tiers.latency(msg.src, msg.dst)
+            latency = self._latency(msg)
             if latency:
                 yield self.sim.timeout(latency)
         engine = self._recv_resource(msg)
@@ -429,21 +328,7 @@ class Network:
                 backoff = self.config.retry_backoff_cycles * (1 << min(attempt, 10))
                 attempt += 1
                 yield self.sim.timeout(backoff + self.config.latency_cycles)
-        if tiers is None:
-            hold = self.config.message_recv_cycles(msg.nbytes) + self._bounce_debt[msg.dst]
-        else:
-            hold = tiers.recv_cycles(msg.src, msg.dst, msg.nbytes) + self._bounce_debt[msg.dst]
-        self._bounce_debt[msg.dst] = 0.0
-        yield from engine.serve(hold)
-        msg.delivered_at = self.sim.now
-        self.latency_stat.record(msg.delivered_at - msg.sent_at)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.instant("net.deliver", msg.dst, src=msg.src, bytes=msg.nbytes)
-        self.inbox[msg.dst].put(msg)
-        done = getattr(msg, "_done_event", None)
-        if done is not None:
-            done.succeed(msg)
+        self._arrive(msg)
 
     def _faulty_wire(self, msg: Message, faults) -> object:
         """Generator: cross the wire under an armed fault plan.

@@ -25,32 +25,23 @@ class Endpoint:
         self.pid = pid
         self.sim = network.sim
         self._pending: Deque[Message] = deque()
-        # (predicate, event, batch) triples; ``batch`` is None for plain
-        # recv, or a [collected, needed] pair for recv_batch — the event
-        # fires with the message list once ``needed`` have matched.
-        self._waiters: List[Tuple[Callable[[Message], bool], Event, Optional[list]]] = []
+        self._waiters: List[Tuple[Callable[[Message], bool], Event]] = []
         self._pump_running = False
-        # Fast-path deliveries bypass the inbox/pump and land here; the
-        # matching logic is the same as the pump's, at the same instant,
-        # just without the Store round-trip.
-        network.deliver_hook[pid] = self._deliver_direct
 
     # -- sending ----------------------------------------------------------
-    def send(self, dst: int, tag: Any, nbytes: int, payload: Any = None):
-        """Generator: inject a message; returns when the NIC is free again."""
-        msg = Message(src=self.pid, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
+    def send(
+        self, dst: int, tag: Any, nbytes: int, payload: Any = None, order: Optional[int] = None
+    ):
+        """Generator: inject a message; returns when the NIC is free again.
+
+        *order*, from :meth:`~repro.sim.engine.Simulator.reserve`, fixes
+        the message's place among same-instant arrivals.
+        """
+        msg = Message(
+            src=self.pid, dst=dst, tag=tag, nbytes=nbytes, payload=payload, order=order
+        )
         yield from self.network.send_from(msg)
         return msg
-
-    def send_batch(self, entries, tag: Any):
-        """Generator: inject ``(dst, nbytes)`` messages back-to-back.
-
-        Equivalent to calling :meth:`send` once per entry, but eligible
-        for the network's analytic fast path (see
-        :meth:`~repro.machine.network.Network.send_burst_from`).
-        Returns when the local NIC has injected the whole burst.
-        """
-        yield from self.network.send_burst_from(self.pid, tag, entries)
 
     def post(self, dst: int, tag: Any, nbytes: int, payload: Any = None) -> None:
         """Fire-and-forget send as a detached process (still pays NIC time)."""
@@ -67,71 +58,33 @@ class Endpoint:
 
         ``None`` acts as a wildcard for either field.  Out-of-match
         messages are buffered and stay available to later receives.
+        A message already delivered returns at once, without waking the
+        inbox pump, as the epoch kernel's counting receive does.
         """
 
         def matches(m: Message) -> bool:
             return (src is None or m.src == src) and (tag is None or m.tag == tag)
 
+        inbox = self.network.inbox[self.pid]
+        while len(inbox):
+            self._pending.append(inbox.try_get())
         for i, m in enumerate(self._pending):
             if matches(m):
                 del self._pending[i]
                 return m
 
         ev = Event(self.sim)
-        self._waiters.append((matches, ev, None))
+        self._waiters.append((matches, ev))
         self._ensure_pump()
         msg = yield ev
         return msg
 
-    def recv_batch(self, count: int, src: Optional[int] = None, tag: Any = None):
-        """Generator: receive *count* messages matching ``(src, tag)``.
-
-        Equivalent to *count* consecutive :meth:`recv` calls (the caller
-        must not need to act between messages): the process wakes once,
-        at the instant the last message is delivered, instead of once
-        per message.  Returns the matched messages in delivery order.
-        """
-
-        def matches(m: Message) -> bool:
-            return (src is None or m.src == src) and (tag is None or m.tag == tag)
-
-        got: List[Message] = []
-        i = 0
-        while i < len(self._pending) and len(got) < count:
-            if matches(self._pending[i]):
-                got.append(self._pending[i])
-                del self._pending[i]
-            else:
-                i += 1
-        if len(got) >= count:
-            return got
-
-        ev = Event(self.sim)
-        self._waiters.append((matches, ev, [got, count]))
-        self._ensure_pump()
-        msgs = yield ev
-        return msgs
-
-    def _deliver_direct(self, msg: Message) -> bool:
-        """Match a fast-path delivery against waiters (pump logic inline)."""
-        if self._match(msg):
-            return True
-        self._pending.append(msg)
-        return True
-
     def _match(self, msg: Message) -> bool:
         """Hand *msg* to the first matching waiter; False if none match."""
-        for i, (pred, ev, batch) in enumerate(self._waiters):
+        for i, (pred, ev) in enumerate(self._waiters):
             if pred(msg):
-                if batch is None:
-                    del self._waiters[i]
-                    ev.succeed(msg)
-                    return True
-                collected, needed = batch
-                collected.append(msg)
-                if len(collected) >= needed:
-                    del self._waiters[i]
-                    ev.succeed(collected)
+                del self._waiters[i]
+                ev.succeed(msg)
                 return True
         return False
 

@@ -40,7 +40,7 @@ Usage
         obs.write_trace(fh)
     obs.disable()
 
-State is process-global (like the ``QSM_FAST_SYNC`` toggle) so a whole
+State is process-global (like the ``QSM_SYNC_PATH`` switch) so a whole
 experiment pipeline — including ``--jobs N`` workers, which inherit the
 ``QSM_OBS`` environment variable and ship their captures back through
 :func:`drain_payload`/:func:`merge_payload` — flips on with one switch.
@@ -275,7 +275,7 @@ def write_events(path_or_fh: Union[str, IO[str]]) -> int:
 
 
 # Honour QSM_OBS=1 at import so spawned worker processes (which re-import
-# rather than fork) come up collecting, mirroring the QSM_FAST_SYNC idiom.
+# rather than fork) come up collecting, mirroring the QSM_SYNC_PATH idiom.
 _env = os.environ.get(ENV_VAR, "").strip().lower()
 if _env in ("1", "true", "on"):
     enable(spans=True)

@@ -14,9 +14,9 @@ The API is designed for use inside simulation generators, where a
 * :meth:`Observer.begin` / :meth:`Observer.end` — explicit bracketing
   (``end`` enforces LIFO discipline per track);
 * :meth:`Observer.span` — context manager for straight-line code;
-* :meth:`Observer.complete` — record an analytically-known interval in
-  one call (used by the batched-send fast path, whose occupancy is
-  computed rather than stepped through);
+* :meth:`Observer.complete` — record an already-known interval in one
+  call (used by the epoch kernel, which prices a phase before it can
+  report the phase's stage times);
 * :meth:`Observer.instant` — a zero-duration marker event.
 
 Every call is made through an observer the caller fetched with a
@@ -198,15 +198,24 @@ class Observer:
             self.end(span)
 
     def complete(
-        self, name: str, track: int, t0: float, t1: float, **attrs: Any
+        self,
+        name: str,
+        track: int,
+        t0: float,
+        t1: float,
+        parent: Optional[Span] = None,
+        **attrs: Any,
     ) -> Optional[Span]:
-        """Record a span whose interval is already known analytically
-        (bypasses the nesting stack; ``t1`` may lie in the simulated
-        future, e.g. a batched NIC occupancy)."""
+        """Record a span whose interval is already known (bypasses the
+        nesting stack; used by the epoch kernel, which knows a phase's
+        stage times only once the phase has been priced).  The span
+        nests one level below *parent*, or else below the spans open on
+        its track."""
         if not self.record_spans:
             return None
         wall = time.perf_counter()
-        span = Span(name, track, t0, wall, len(self._stacks.get(track, ())), attrs or None)
+        depth = len(self._stacks.get(track, ())) if parent is None else parent.depth + 1
+        span = Span(name, track, t0, wall, depth, attrs or None)
         span.t1 = t1
         span.w1 = wall
         self.run._add(self.run.spans, span)

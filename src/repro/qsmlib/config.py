@@ -19,7 +19,6 @@ calibration is two scalars (``get_service_cycles``,
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -30,51 +29,37 @@ from repro.util.validation import check_nonnegative, check_positive
 class SyncPath(str, Enum):
     """How ``sync()`` is priced in the simulator.
 
-    All three paths are bit-identical in every observable timing (the
+    Both paths are bit-identical in every observable timing (the
     equivalence and golden tests pin this); they differ only in how much
     Python the kernel executes per simulated message:
 
     * ``SLOW`` — the per-message oracle: every chunk is a full
       send-process/wire/receive-engine event chain.  Supports every
-      feature (pacing, finite receive buffers, network faults, tracing).
-    * ``FAST`` — batched analytic sends inside the DES (PR 1): a burst's
-      injection times are computed in closed form, receives still run
-      per message.
+      feature (pacing, finite receive buffers, network faults, kernel
+      step hooks).
     * ``EPOCH`` — the vectorized epoch kernel: a whole phase is priced
       with numpy array math plus one flat merge loop; the discrete-event
       simulator is only touched to advance the clock at the phase
-      boundary.  Falls back to ``FAST``/``SLOW`` automatically whenever
-      a feature needs per-message fidelity (see docs/PERFORMANCE.md).
+      boundary.  Falls back to ``SLOW`` automatically whenever a feature
+      needs per-message events (see docs/PERFORMANCE.md).
     """
 
     SLOW = "slow"
-    FAST = "fast"
     EPOCH = "epoch"
 
 
-def _resolve_sync_path(
-    sync_path: Union[SyncPath, str, None], fast_sync: Optional[bool]
-) -> SyncPath:
-    """Resolve the configured path from field values and environment.
+def _resolve_sync_path(sync_path: Union[SyncPath, str, None]) -> SyncPath:
+    """Resolve the configured path from the field and the environment.
 
-    Precedence: explicit ``sync_path`` > explicit ``fast_sync``
-    (deprecated) > ``QSM_SYNC_PATH`` env > ``QSM_FAST_SYNC`` env
-    (deprecated) > the :attr:`SyncPath.EPOCH` default.  The env reads
-    let whole experiment pipelines (including ``--jobs`` workers, which
-    inherit the environment) be flipped onto another path without
-    threading a config through every layer — the equivalence tests and
-    benchmarks rely on this; see docs/CHECKING.md.
+    Precedence: explicit ``sync_path`` > ``QSM_SYNC_PATH`` env > the
+    :attr:`SyncPath.EPOCH` default.  The env read lets whole experiment
+    pipelines (including ``--jobs`` workers, which inherit the
+    environment) be flipped onto the oracle without threading a config
+    through every layer — the equivalence tests and benchmarks rely on
+    this; see docs/CHECKING.md.
     """
     if sync_path is not None:
         return SyncPath(sync_path)
-    if fast_sync is not None:
-        warnings.warn(
-            "SoftwareConfig(fast_sync=...) is deprecated; use "
-            "sync_path=SyncPath.FAST / SyncPath.SLOW instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return SyncPath.FAST if fast_sync else SyncPath.SLOW
     env = os.environ.get("QSM_SYNC_PATH")  # qsmlint: disable=QL107
     if env is not None:
         name = env.strip().lower()
@@ -85,17 +70,6 @@ def _resolve_sync_path(
             raise ValueError(
                 f"QSM_SYNC_PATH={env!r} is not a sync path (expected one of: {valid})"
             ) from None
-    env = os.environ.get("QSM_FAST_SYNC")  # qsmlint: disable=QL107
-    if env is not None:
-        warnings.warn(
-            "the QSM_FAST_SYNC environment variable is deprecated; use "
-            "QSM_SYNC_PATH=fast / QSM_SYNC_PATH=slow instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if env.strip().lower() in ("0", "false", "off"):
-            return SyncPath.SLOW
-        return SyncPath.FAST
     return SyncPath.EPOCH
 
 
@@ -160,25 +134,15 @@ class SoftwareConfig:
     exchange_schedule: str = "staggered"
 
     #: Which simulation path prices ``sync()`` — see :class:`SyncPath`.
-    #: ``None`` (the default) resolves through the deprecated
-    #: ``fast_sync`` field, then the ``QSM_SYNC_PATH`` / ``QSM_FAST_SYNC``
-    #: environment variables, then :attr:`SyncPath.EPOCH`.  After
+    #: ``None`` (the default) resolves through the ``QSM_SYNC_PATH``
+    #: environment variable, then :attr:`SyncPath.EPOCH`.  After
     #: ``__post_init__`` this is always a :class:`SyncPath` member.
     sync_path: Optional[Union[SyncPath, str]] = None
 
-    #: Deprecated boolean alias for ``sync_path`` (``True`` →
-    #: :attr:`SyncPath.FAST`, ``False`` → :attr:`SyncPath.SLOW`), kept so
-    #: existing configs and the ``QSM_FAST_SYNC`` variable keep working.
-    #: After ``__post_init__`` it is always a bool:
-    #: ``sync_path is not SyncPath.SLOW``.
-    fast_sync: Optional[bool] = None
-
     def __post_init__(self) -> None:
-        path = _resolve_sync_path(self.sync_path, self.fast_sync)
         # Normalise through the frozen-dataclass wall so downstream code
-        # (and repr/asdict) always sees one coherent pair of fields.
-        object.__setattr__(self, "sync_path", path)
-        object.__setattr__(self, "fast_sync", path is not SyncPath.SLOW)
+        # (and repr/asdict) always sees a SyncPath member.
+        object.__setattr__(self, "sync_path", _resolve_sync_path(self.sync_path))
         if self.exchange_schedule not in ("staggered", "fixed"):
             raise ValueError(
                 f"exchange_schedule must be 'staggered' or 'fixed', "

@@ -484,10 +484,10 @@ def _burst_schedules(words, gap_m, wire_m, perm, sw, network, tier=None):
     total = int(pid_chunks.sum())
     if total == 0:
         return [None] * p, expected
-    # Messages without a wire chunk contribute nothing on the fast path
-    # (their marshal gap never attaches to an entry), so select on chunk
-    # count rather than word count.  Boolean row-major selection keeps
-    # every sender's message order.
+    # Messages without a wire chunk get no entry (their marshal gap has
+    # no chunk to ride on), so select on chunk count rather than word
+    # count.  Boolean row-major selection keeps every sender's message
+    # order.
     mask = cnt_o > 0
     msg_cnt = cnt_o[mask]
     msg_dst = np.broadcast_to(perm, cnt_o.shape)[mask]

@@ -1,41 +1,59 @@
 """The epoch sync path: one phase, priced as arrays plus a flat merge.
 
-The DES paths (``slow`` and ``fast``) advance ``p`` generator processes
-through the full simulation kernel — events, processes, resources,
-endpoints — even though, once the request queues are realized, a
-bulk-synchronous phase's cost is fully determined.  This module prices
-the whole phase at once:
+The per-message oracle (``sync_path="slow"``) advances ``p`` generator
+processes through the full simulation kernel — events, processes,
+resources, endpoints — even though, once the request queues are
+realized, a bulk-synchronous phase's cost is fully determined.  This
+module prices the whole phase at once:
 
 * every per-message charge (marshal gaps, wire chunking, NIC send
   occupancy, receive holds, unmarshal/service totals) is computed
   vectorized over the traffic matrices by
   :func:`repro.qsmlib.costmodel.build_epoch_tables`;
-* injection timelines are ``np.cumsum`` folds of the precomputed gap
-  and occupancy arrays (a strictly sequential accumulate, so the float
-  results match the DES's chained ``t = t + step`` adds bit-for-bit);
+* injection timelines are sequential float folds of the precomputed gap
+  and occupancy arrays (``t = t + step`` per chunk, so the results match
+  the oracle's chained timeouts bit-for-bit);
 * what *cannot* be precomputed — the FCFS contention at each receive
-  NIC, where chunk streams from different senders interleave — runs in
-  one flat ``(time, seq, kind, ...)`` tuple heap with three handler
-  kinds, instead of the full event/process machinery.
+  resource, where chunk streams from different senders interleave —
+  runs in one flat ``(time, seq, kind, ...)`` tuple heap with three
+  handler kinds, instead of the full event/process machinery.
 
 The discrete-event simulator is touched only at the phase boundary: the
 kernel's pop count folds into ``sim.event_count`` and the clock advances
-via ``sim.run(until=end)``.
+via ``sim.run(until=end)``.  The kernel records each node's stage end
+times; when observability is on it emits from them the same ``qsm.*``
+spans the oracle's node processes open and close.
 
 Bit-identity discipline
 -----------------------
-The kernel mirrors the fast DES path's *push order* exactly: every heap
-entry the DES would create (arrival, delivery, node resume) has a
-counterpart pushed at the same simulated time and in the same relative
-order, so same-instant ties break identically — this matters whenever
-two senders' chunks reach one receive engine at the same instant.  The
-only DES events without counterparts are ones that never reorder
-anything else (process bootstraps and completions, endpoint pump
-starts), which is why the epoch path also processes strictly fewer
-events.  Eligibility is gated in
-:meth:`~repro.qsmlib.runtime.SyncEngine.execute_phase`: any feature
-needing per-message fidelity (pacing, finite receive buffers, network
-faults, observability, tracing, the sanitizer) falls back to the DES.
+Timings are bit-identical to the oracle's because both engines break
+same-instant ties by the same three rules:
+
+* **Arrival order.**  A message's place among same-instant arrivals at
+  one receive resource is fixed when its sender *starts that stage's
+  sends*: here every arrival entry of a stage is pushed at that moment,
+  and the oracle reserves the same places from the DES heap counter
+  (:meth:`~repro.sim.engine.Simulator.reserve`) and schedules each
+  arrival with its reserved number as soon as the message's injection
+  starts.  This decides which chunk a contended receive engine or
+  shared node wire serves first.
+* **Service start.**  A receive resource starts serving a message in
+  the event that frees it — the arrival itself when it is idle, else
+  the delivery of the message ahead — before that delivery wakes its
+  receiver (the oracle's ``Network._deliver``).
+* **Receives.**  A receive whose messages were already delivered
+  continues at once; one that must wait resumes in a fresh entry at the
+  delivering instant (the oracle's ``Endpoint.recv``).
+
+Everything else is a timed step pushed when it starts, in both engines.
+The oracle's remaining events — process bootstraps, grant events,
+endpoint pump hops — have no counterparts here, which is also why this
+path processes strictly fewer events.
+
+Eligibility is gated in
+:meth:`~repro.qsmlib.runtime.SyncEngine.execute_phase`: send pacing,
+finite receive buffers, network-perturbing fault plans and kernel step
+hooks fall back to the oracle.
 """
 
 from __future__ import annotations
@@ -44,8 +62,6 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 from typing import List, Tuple
-
-import numpy as np
 
 from repro.msg.collectives import CONTROL_BYTES, _children, _parent
 from repro.qsmlib.costmodel import build_epoch_tables
@@ -92,7 +108,6 @@ class EpochPhase:
             for pid in range(p):
                 comp[pid] = comp[pid] + faults.compute_penalty(pid, comp[pid])
         self.compute = comp
-        self.ready_times = np.zeros(p)
         self.now = self.start
         self.pops = 0
         self.bytes_sent = 0
@@ -118,6 +133,10 @@ class EpochPhase:
         self._wait_stream = [-1] * p
         self._wait_target = [0] * p
         self._finished = [False] * p
+        #: Per node, the end time of each stage: compute (the node's
+        #: ready time), entry, plan, data, reply, barrier — only the
+        #: first two when p == 1.
+        self.stamps: List[List[float]] = [[] for _ in range(p)]
         self._gens = [self._node(pid) for pid in range(p)]
 
     # ------------------------------------------------------------------
@@ -154,7 +173,7 @@ class EpochPhase:
                 stream = entry[5]
                 # Free the engine first: the next queued chunk starts
                 # service before this delivery wakes any waiter (the
-                # order _fast_deliver's unclaim-then-hook enforces).
+                # order the oracle's release-then-deposit enforces).
                 q = fifo[queue]
                 if q:
                     hold2, dst2, stream2 = q.popleft()
@@ -186,17 +205,18 @@ class EpochPhase:
         self.pops = next(seq)
         if not all(finished):
             raise RuntimeError("sync deadlocked: a node never completed the phase")
-        return self.start, float(self.ready_times.max()), now
+        return self.start, max(stamps[0] for stamps in self.stamps), now
 
     # ------------------------------------------------------------------
-    # Node timeline (mirrors SyncEngine._node_proc's fast path, with
-    # every `yield sim.timeout(...)` / event wait as one heap entry).
+    # Node timeline (mirrors SyncEngine._node_proc, with every
+    # `yield sim.timeout(...)` / event wait as one heap entry).
     # ------------------------------------------------------------------
     def _node(self, pid: int):
         heap = self._heap
         seq = self._seq
         p = self.p
         tb = self.tables
+        stamps = self.stamps[pid]
 
         t = self.start
         compute = self.compute[pid]
@@ -204,12 +224,13 @@ class EpochPhase:
             t = t + compute
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
-        self.ready_times[pid] = t
+        stamps.append(t)
         overhead = float(tb.entry_overhead[pid])
         if overhead > 0:
             t = t + overhead
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
+        stamps.append(t)
 
         if p == 1:
             return
@@ -225,6 +246,7 @@ class EpochPhase:
         t = yield
         if not self._try_recv(pid, _PLAN, p - 1):
             t = yield
+        stamps.append(t)
 
         # -- 2. data messages: puts + get requests ----------------------
         sched = tb.data_sends[pid]
@@ -239,6 +261,7 @@ class EpochPhase:
             t = t + unmarshal
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
+        stamps.append(t)
 
         # -- 3. get replies ---------------------------------------------
         sched = tb.reply_sends[pid]
@@ -253,6 +276,7 @@ class EpochPhase:
             t = t + unmarshal
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
+        stamps.append(t)
 
         # -- 4. closing barrier -----------------------------------------
         hop = self.sw.barrier_hop_cycles
@@ -285,6 +309,7 @@ class EpochPhase:
                 t = yield
             t = self._send_control(pid, t, child, down + pid)
             t = yield
+        stamps.append(t)
 
     # ------------------------------------------------------------------
     # Send/receive building blocks
@@ -293,10 +318,11 @@ class EpochPhase:
         """Inject one precomputed chunk stream starting at *t0*.
 
         The injection timeline is a sequential float64 fold —
-        ``t += gap; t += occupancy`` per chunk — matching the DES's
-        chained adds in ``send_burst_from`` exactly (adding a 0.0 gap is
-        a bitwise no-op).  Arrivals push in entry order, then the
-        sender's drain resume — the same order the DES pushes them.
+        ``t += gap; t += occupancy`` per chunk — matching the oracle's
+        chained marshal and send timeouts exactly (adding a 0.0 gap is a
+        bitwise no-op).  Arrivals push in entry order, then the sender's
+        drain resume: the arrival places the oracle reserves when the
+        stage starts.
         The per-chunk heappush dominates this loop either way, so the
         fold stays in plain Python rather than paying a numpy
         allocate/cumsum/tolist round trip per call.
@@ -383,14 +409,42 @@ class EpochPhase:
         return False
 
 
+_SEGMENTS = ("qsm.compute", "qsm.entry", "qsm.plan", "qsm.data", "qsm.reply", "qsm.barrier")
+
+
+def _emit_spans(obs, phase: EpochPhase, seq: int, traffic, local_words) -> None:
+    """The ``qsm.*`` spans of one phase, as the oracle's node processes
+    record them: per node a ``qsm.phase`` span from the phase start to
+    the node's last stage end, partitioned by its stage segments."""
+    start = phase.start
+    for pid, stamps in enumerate(phase.stamps):
+        attrs = (
+            {},
+            {"local_words": int(local_words[pid])},
+            {},
+            {
+                "put_words": int(traffic.put_words[pid].sum()),
+                "get_req_words": int(traffic.get_words[pid].sum()),
+            },
+            {"reply_words": int(traffic.get_words[:, pid].sum())},
+            {},
+        )
+        parent = obs.complete("qsm.phase", pid, start, stamps[-1], phase=seq)
+        t0 = start
+        for name, t1, kw in zip(_SEGMENTS, stamps, attrs):
+            obs.complete(name, pid, t0, t1, parent=parent, **kw)
+            t0 = t1
+
+
 def execute_epoch_phase(
-    machine, sw, traffic, compute_cycles, local_words
+    machine, sw, traffic, compute_cycles, local_words, seq: int
 ) -> Tuple[float, float, float]:
-    """Run one phase on the epoch path; returns (start, ready, end).
+    """Run phase number *seq* on the epoch path; returns (start, ready, end).
 
     Folds the kernel's work back into the simulator: the pop count joins
     ``sim.event_count``, the clock advances to *end*, and the network's
     lifetime byte/message counters include this phase's injections.
+    With observability on, the phase's ``qsm.*`` spans are recorded too.
     """
     phase = EpochPhase(machine, sw, traffic, compute_cycles, local_words)
     start, ready, end = phase.run()
@@ -400,4 +454,6 @@ def execute_epoch_phase(
     network = machine.network
     network.bytes_sent += phase.bytes_sent
     network.messages_sent += phase.messages_sent
+    if sim.obs is not None:
+        _emit_spans(sim.obs, phase, seq, traffic, local_words)
     return start, ready, end

@@ -73,20 +73,11 @@ class QSMMachine:
         self._endpoints = make_endpoints(self.machine.network)
         self._engine = SyncEngine(self.machine, self._endpoints, self.config.software)
         # Fetched once per machine; None when disarmed (the usual case),
-        # so sanitizer support costs one attribute test per phase.
+        # so sanitizer support costs one attribute test per phase.  The
+        # sanitizer reads only the realized request queues, so it runs
+        # alongside either sync path.
         self._sanitizer = check.active()
-        # An armed sanitizer wants per-message fidelity from the engine;
-        # the epoch kernel steps aside (degrading to the DES fast path)
-        # rather than risk diverging from what the sanitizer replays.
-        self._engine.require_message_fidelity = self._sanitizer is not None
         self._ran = False
-        if self.machine.sim.obs is not None:
-            # Observability itself forces the DES (epoch degrades to
-            # fast), so the label names the path that actually runs.
-            fast = "fast" if self.config.software.fast_sync else "oracle"
-            self.machine.sim.obs.set_label(
-                f"qsm p={self.p} seed={self.config.seed} sync={fast}"
-            )
 
     # ------------------------------------------------------------------
     def allocate(
@@ -185,8 +176,12 @@ class QSMMachine:
 
         result.trailing_compute_cycles = float(trailing.max()) if p else 0.0
         result.sim_events = self.machine.sim.event_count
-        if self.machine.sim.obs is not None:
-            self.machine.sim.obs.finalize()
+        obs = self.machine.sim.obs
+        if obs is not None:
+            # Name the sync path(s) the phases actually ran on.
+            ran = "+".join(path for path, n in self._engine.path_counts.items() if n)
+            obs.set_label(f"qsm p={self.p} seed={self.config.seed} sync={ran or 'none'}")
+            obs.finalize()
         if self.machine.faults is not None:
             _faults.absorb(self.machine.faults)
         return result

@@ -62,9 +62,6 @@ class SyncEngine:
         self.endpoints = endpoints
         self.sw = software
         self._seq = 0
-        #: Set by the program driver when an armed sanitizer (or any
-        #: future consumer of per-message events) needs the DES paths.
-        self.require_message_fidelity = False
         #: Phases executed per sync path this engine's lifetime — how
         #: tests (and curious users) observe fallback decisions.
         self.path_counts = {path.value: 0 for path in SyncPath}
@@ -83,31 +80,36 @@ class SyncEngine:
         network (they still cost library handling time).
         """
         sim = self.machine.sim
-        p = self.machine.p
         seq = self._seq
         self._seq += 1
 
         if self._epoch_eligible():
-            start, ready, end = execute_epoch_phase(
-                self.machine, self.sw, traffic, compute_cycles, local_words
-            )
             self.path_counts["epoch"] += 1
-            # obs is None whenever the epoch path runs, so the metrics
-            # block below is unreachable here — return directly.
-            return PhaseTiming(start=start, ready=ready, end=end)
-
-        if (
-            self.sw.fast_sync
-            and not self.sw.send_pacing_cycles
-            and self.machine.network.supports_fast_path
-        ):
-            self.path_counts["fast"] += 1
+            timing = PhaseTiming(
+                *execute_epoch_phase(
+                    self.machine, self.sw, traffic, compute_cycles, local_words, seq
+                )
+            )
         else:
             self.path_counts["slow"] += 1
+            timing = self._execute_des(seq, traffic, compute_cycles, local_words)
+        obs = sim.obs
+        if obs is not None:
+            m = obs.metrics
+            m.counter("qsm.syncs").inc()
+            m.counter("qsm.phase.put.m_rw").inc(int(traffic.put_words.sum()))
+            m.counter("qsm.phase.get.m_rw").inc(int(traffic.get_words.sum()))
+            m.counter("qsm.phase.local.words").inc(int(traffic.local_words.sum()))
+            m.histogram("qsm.phase.comm_cycles").record(timing.end - timing.ready)
+            m.histogram("qsm.phase.total_cycles").record(timing.end - timing.start)
+        return timing
+
+    def _execute_des(self, seq, traffic, compute_cycles, local_words) -> PhaseTiming:
+        """The per-message oracle: one simulation process per node."""
+        sim = self.machine.sim
+        p = self.machine.p
         start = sim.now
         ready_times = np.zeros(p)
-        done_times = np.zeros(p)
-
         procs = [
             sim.process(
                 self._node_proc(
@@ -117,7 +119,6 @@ class SyncEngine:
                     float(compute_cycles[pid]),
                     int(local_words[pid]),
                     ready_times,
-                    done_times,
                 )
             )
             for pid in range(p)
@@ -133,17 +134,7 @@ class SyncEngine:
                     raise faults.fatal
                 raise RuntimeError("sync deadlocked: a node never completed the phase")
             proc.value  # re-raise any node failure
-        timing = PhaseTiming(start=start, ready=float(ready_times.max()), end=sim.now)
-        obs = sim.obs
-        if obs is not None:
-            m = obs.metrics
-            m.counter("qsm.syncs").inc()
-            m.counter("qsm.phase.put.m_rw").inc(int(traffic.put_words.sum()))
-            m.counter("qsm.phase.get.m_rw").inc(int(traffic.get_words.sum()))
-            m.counter("qsm.phase.local.words").inc(int(traffic.local_words.sum()))
-            m.histogram("qsm.phase.comm_cycles").record(timing.end - timing.ready)
-            m.histogram("qsm.phase.total_cycles").record(timing.end - timing.start)
-        return timing
+        return PhaseTiming(start=start, ready=float(ready_times.max()), end=sim.now)
 
     # ------------------------------------------------------------------
     def _epoch_eligible(self) -> bool:
@@ -151,20 +142,16 @@ class SyncEngine:
 
         Every condition is a feature that needs per-message events: send
         pacing interleaves timeouts between chunks; finite receive
-        buffers and network fault plans (``supports_fast_path``) depend
-        on instantaneous per-message state; observability, tracing and
-        the sanitizer consume per-event callbacks.  Any of them degrades
-        epoch to the DES fast path (or, transitively, to the oracle) —
-        see the path-selection matrix in docs/PERFORMANCE.md.
+        buffers and network fault plans (``ideal_delivery``) depend on
+        instantaneous per-message state; a kernel step hook wants to see
+        every event.  Any of them degrades epoch to the per-message
+        oracle — see the path-selection matrix in docs/PERFORMANCE.md.
         """
-        sim = self.machine.sim
         return (
             self.sw.sync_path is SyncPath.EPOCH
             and not self.sw.send_pacing_cycles
-            and self.machine.network.supports_fast_path
-            and sim.obs is None
-            and sim._step_hook is None
-            and not self.require_message_fidelity
+            and self.machine.network.ideal_delivery
+            and self.machine.sim._step_hook is None
         )
 
     # ------------------------------------------------------------------
@@ -176,7 +163,6 @@ class SyncEngine:
         compute: float,
         local_words: int,
         ready_times: np.ndarray,
-        done_times: np.ndarray,
     ):
         sim = self.machine.sim
         sw = self.sw
@@ -214,14 +200,12 @@ class SyncEngine:
             if obs is not None:
                 obs.end(seg)
                 obs.end(phase_span)
-            done_times[pid] = sim.now
             return
 
-        # Batched sends are timing-equivalent only when pacing is off
-        # (pacing interleaves timeouts between chunks) and the network's
-        # overrun model is disabled; fast_sync=False keeps the
-        # per-message path as the oracle.
-        fast = sw.fast_sync and not sw.send_pacing_cycles and ep.network.supports_fast_path
+        # Each stage reserves its messages' places in the arrival order
+        # the moment it starts sending (sim.reserve), which is when the
+        # epoch kernel pushes its arrival entries: same-instant arrivals
+        # at one receive resource then queue identically on both paths.
 
         # -- 1. plan exchange ---------------------------------------------
         if obs is not None:
@@ -229,14 +213,10 @@ class SyncEngine:
             seg = obs.begin("qsm.plan", pid)
         peers = self._peer_order(pid, p)
         plan_bytes = sw.message_header_bytes + sw.plan_entry_bytes
-        if fast:
-            yield from ep.send_batch([(dst, plan_bytes) for dst in peers], ("plan", seq))
-            yield from ep.recv_batch(p - 1, tag=("plan", seq))
-        else:
-            for dst in peers:
-                yield from ep.send(dst, ("plan", seq), plan_bytes)
-            for _ in range(1, p):
-                yield from ep.recv(tag=("plan", seq))
+        for dst, order in zip(peers, sim.reserve(p - 1)):
+            yield from ep.send(dst, ("plan", seq), plan_bytes, order=order)
+        for _ in range(1, p):
+            yield from ep.recv(tag=("plan", seq))
 
         # -- 2. data messages: puts + get requests --------------------------
         if obs is not None:
@@ -247,42 +227,17 @@ class SyncEngine:
                 put_words=int(traffic.put_words[pid].sum()),
                 get_req_words=int(traffic.get_words[pid].sum()),
             )
-        if fast:
-            # One analytic burst for the whole stage: per-destination
-            # marshal time rides along as a gap before that
-            # destination's first chunk (the NIC is idle during
-            # marshalling either way, and the node generator has nothing
-            # to do between, so the timeline is identical).
-            entries = []
-            for dst in peers:
-                w_put = int(traffic.put_words[pid, dst])
-                w_req = int(traffic.get_words[pid, dst])
-                if w_put == 0 and w_req == 0:
-                    continue
-                gap = (w_put + w_req) * sw.marshal_record_cycles + cpu.copy_cycles(
-                    w_put * sw.word_bytes
-                )
-                wire = sw.put_wire_bytes(w_put) + sw.get_request_wire_bytes(w_req)
-                for chunk in sw.chunk_sizes(wire):
-                    entries.append((dst, sw.message_header_bytes + chunk, gap))
-                    gap = 0.0
-            if entries:
-                yield from ep.send_batch(entries, ("data", seq))
-        else:
-            for dst in peers:
-                w_put = int(traffic.put_words[pid, dst])
-                w_req = int(traffic.get_words[pid, dst])
-                if w_put == 0 and w_req == 0:
-                    continue
+        sends = []
+        for dst in peers:
+            w_put = int(traffic.put_words[pid, dst])
+            w_req = int(traffic.get_words[pid, dst])
+            if w_put or w_req:
                 marshal = (w_put + w_req) * sw.marshal_record_cycles + cpu.copy_cycles(
                     w_put * sw.word_bytes
                 )
-                yield sim.timeout(marshal)
                 wire = sw.put_wire_bytes(w_put) + sw.get_request_wire_bytes(w_req)
-                for chunk in sw.chunk_sizes(wire):
-                    if sw.send_pacing_cycles:
-                        yield sim.timeout(sw.send_pacing_cycles)
-                    yield from ep.send(dst, ("data", seq), sw.message_header_bytes + chunk)
+                sends.append((dst, marshal, sw.chunk_sizes(wire)))
+        yield from self._send_stage(ep, ("data", seq), sends)
 
         expected_chunks = 0
         unmarshal_total = 0.0
@@ -296,12 +251,8 @@ class SyncEngine:
                 + cpu.copy_cycles(w_put * sw.word_bytes)
                 + w_req * sw.get_service_cycles
             )
-        if fast:
-            if expected_chunks:
-                yield from ep.recv_batch(expected_chunks, tag=("data", seq))
-        else:
-            for _ in range(expected_chunks):
-                yield from ep.recv(tag=("data", seq))
+        for _ in range(expected_chunks):
+            yield from ep.recv(tag=("data", seq))
         if unmarshal_total:
             yield sim.timeout(unmarshal_total)
 
@@ -311,29 +262,13 @@ class SyncEngine:
             seg = obs.begin(
                 "qsm.reply", pid, reply_words=int(traffic.get_words[:, pid].sum())
             )
-        if fast:
-            entries = []
-            for dst in peers:
-                w = int(traffic.get_words[dst, pid])
-                if w == 0:
-                    continue
-                gap = w * sw.marshal_record_cycles + cpu.copy_cycles(w * sw.word_bytes)
-                for chunk in sw.chunk_sizes(sw.get_reply_wire_bytes(w)):
-                    entries.append((dst, sw.message_header_bytes + chunk, gap))
-                    gap = 0.0
-            if entries:
-                yield from ep.send_batch(entries, ("reply", seq))
-        else:
-            for dst in peers:
-                w = int(traffic.get_words[dst, pid])
-                if w == 0:
-                    continue
+        sends = []
+        for dst in peers:
+            w = int(traffic.get_words[dst, pid])
+            if w:
                 marshal = w * sw.marshal_record_cycles + cpu.copy_cycles(w * sw.word_bytes)
-                yield sim.timeout(marshal)
-                for chunk in sw.chunk_sizes(sw.get_reply_wire_bytes(w)):
-                    if sw.send_pacing_cycles:
-                        yield sim.timeout(sw.send_pacing_cycles)
-                    yield from ep.send(dst, ("reply", seq), sw.message_header_bytes + chunk)
+                sends.append((dst, marshal, sw.chunk_sizes(sw.get_reply_wire_bytes(w))))
+        yield from self._send_stage(ep, ("reply", seq), sends)
 
         expected_chunks = 0
         unmarshal_total = 0.0
@@ -343,12 +278,8 @@ class SyncEngine:
             unmarshal_total += w * sw.unmarshal_record_cycles + cpu.copy_cycles(
                 w * sw.word_bytes
             )
-        if fast:
-            if expected_chunks:
-                yield from ep.recv_batch(expected_chunks, tag=("reply", seq))
-        else:
-            for _ in range(expected_chunks):
-                yield from ep.recv(tag=("reply", seq))
+        for _ in range(expected_chunks):
+            yield from ep.recv(tag=("reply", seq))
         if unmarshal_total:
             yield sim.timeout(unmarshal_total)
 
@@ -356,11 +287,25 @@ class SyncEngine:
         if obs is not None:
             obs.end(seg)
             seg = obs.begin("qsm.barrier", pid)
-        yield from self._barrier(ep, p, ("bar", seq), fast)
+        yield from self._barrier(ep, p, ("bar", seq))
         if obs is not None:
             obs.end(seg)
             obs.end(phase_span)
-        done_times[pid] = sim.now
+
+    def _send_stage(self, ep: Endpoint, tag, sends):
+        """Marshal and send one stage's ``(dst, marshal, chunks)`` list,
+        its chunks' arrival places reserved up front."""
+        sim = self.machine.sim
+        sw = self.sw
+        orders = iter(sim.reserve(sum(len(chunks) for _, _, chunks in sends)))
+        for dst, marshal, chunks in sends:
+            yield sim.timeout(marshal)
+            for chunk in chunks:
+                if sw.send_pacing_cycles:
+                    yield sim.timeout(sw.send_pacing_cycles)
+                yield from ep.send(
+                    dst, tag, sw.message_header_bytes + chunk, order=next(orders)
+                )
 
     def _peer_order(self, pid: int, p: int):
         """Destination order for this node's sends (see
@@ -369,7 +314,7 @@ class SyncEngine:
             return [(pid + r) % p for r in range(1, p)]
         return [d for d in range(p) if d != pid]
 
-    def _barrier(self, ep: Endpoint, p: int, seq, fast: bool = False) -> object:
+    def _barrier(self, ep: Endpoint, p: int, seq) -> object:
         """Tree barrier with software per-hop cycles (the measured L)."""
         sim = self.machine.sim
         hop = self.sw.barrier_hop_cycles
@@ -383,17 +328,11 @@ class SyncEngine:
         if pid != 0:
             if hop:
                 yield sim.timeout(hop)
-            if fast:
-                yield from ep.send_batch([(_parent(pid), CONTROL_BYTES)], up)
-            else:
-                yield from ep.send(_parent(pid), up, CONTROL_BYTES)
+            yield from ep.send(_parent(pid), up, CONTROL_BYTES, order=sim.reserve(1)[0])
             yield from ep.recv(src=_parent(pid), tag=down)
             if hop:
                 yield sim.timeout(hop)
         for child in _children(pid, p):
             if hop:
                 yield sim.timeout(hop)
-            if fast:
-                yield from ep.send_batch([(child, CONTROL_BYTES)], down)
-            else:
-                yield from ep.send(child, down, CONTROL_BYTES)
+            yield from ep.send(child, down, CONTROL_BYTES, order=sim.reserve(1)[0])

@@ -92,8 +92,8 @@ class RunResult:
     #: Local compute after the last sync (max over processors).
     trailing_compute_cycles: float = 0.0
     #: Kernel events processed by the simulator over the whole run
-    #: (diagnostic; lets benchmarks report events/sec and the fast-path
-    #: tests assert the batched send really does less work).
+    #: (diagnostic; lets benchmarks report events/sec and the
+    #: equivalence tests assert the epoch kernel really does less work).
     sim_events: int = 0
 
     # ------------------------------------------------------------------

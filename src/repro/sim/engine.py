@@ -15,10 +15,10 @@ for speed:
 * :class:`Simulator` uses ``__slots__`` and :meth:`Simulator.run`
   inlines the per-event pop (``step`` remains for single-stepping and
   tests);
-* :meth:`Simulator.defer` / :meth:`Simulator.defer_at` schedule a bare
-  callable wrapped in a :class:`_Deferred` — two machine words instead
-  of a full :class:`~repro.sim.events.Event` with a callback list.
-  Deferred callbacks still count toward :attr:`Simulator.event_count`;
+* :meth:`Simulator.defer` schedules a bare callable wrapped in a
+  :class:`_Deferred` — two machine words instead of a full
+  :class:`~repro.sim.events.Event` with a callback list.  Deferred
+  callbacks still count toward :attr:`Simulator.event_count`;
 * tracing hooks in via :attr:`Simulator._step_hook` (multiplexed by
   :class:`~repro.obs.sink.KernelEventSink`, which the
   :class:`~repro.sim.trace.TraceRecorder` subscribes to) instead of
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -43,8 +43,8 @@ class _Deferred:
 
     The kernel only ever calls ``event._fire()``, so storing the
     callable *as* ``_fire`` makes firing a plain function call with no
-    dispatch overhead.  Used for process bootstraps and the network
-    fast path, where nothing ever waits on the queue entry itself.
+    dispatch overhead.  Used for process bootstraps and network
+    arrivals, where nothing ever waits on the queue entry itself.
     """
 
     __slots__ = ("_fire",)
@@ -153,17 +153,22 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, next(self._seq), event))
         return event
 
-    def schedule_at(self, event: "Event", when: float) -> "Event":
+    def schedule_at(self, event: Any, when: float, seq: Optional[int] = None) -> Any:
         """Schedule *event* to fire at absolute time *when* (>= now).
 
-        The fast paths use this to place events at analytically-computed
-        instants so that their times are bit-identical to the values the
-        step-by-step path would have accumulated.
+        With *seq*, a number taken earlier from :meth:`reserve`, the event
+        fires among same-instant events as if scheduled at the reservation.
         """
         if when < self._now:
             raise SimulationError(f"schedule_at into the past: {when!r} < {self._now!r}")
-        heapq.heappush(self._queue, (when, next(self._seq), event))
+        heapq.heappush(self._queue, (when, next(self._seq) if seq is None else seq, event))
         return event
+
+    def reserve(self, n: int) -> List[int]:
+        """Take the next *n* tie-break numbers, in order, for later
+        :meth:`schedule_at` calls."""
+        seq = self._seq
+        return [next(seq) for _ in range(n)]
 
     def defer(self, delay: float, fn: Callable[[], None]) -> None:
         """Run the bare callable *fn* ``delay`` cycles from now.
@@ -174,12 +179,6 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         heapq.heappush(self._queue, (self._now + delay, next(self._seq), _Deferred(fn)))
-
-    def defer_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run the bare callable *fn* at absolute time *when* (>= now)."""
-        if when < self._now:
-            raise SimulationError(f"defer_at into the past: {when!r} < {self._now!r}")
-        heapq.heappush(self._queue, (when, next(self._seq), _Deferred(fn)))
 
     # Convenience constructors -----------------------------------------
     def event(self) -> "Event":

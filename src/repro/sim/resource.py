@@ -52,7 +52,6 @@ class Resource:
         self.name = name
         self._users: set = set()
         self._waiters: deque = deque()
-        self._token: Optional[Request] = None
         self.queue_stat = TimeWeightedStat(sim)
         self.busy_stat = TimeWeightedStat(sim)
 
@@ -75,72 +74,18 @@ class Resource:
             self.queue_stat.record(len(self._waiters))
         return req
 
-    def release(self, req: Request) -> None:
+    def release(self, req: Request) -> Optional[Request]:
+        """Free *req*'s slot; returns the waiting request granted it, if any."""
         if req not in self._users:
             raise SimulationError("release() of a request that does not hold the resource")
         self._users.discard(req)
         self.busy_stat.record(len(self._users))
-        while self._waiters and len(self._users) < self.capacity:
+        if self._waiters:
             nxt = self._waiters.popleft()
             self.queue_stat.record(len(self._waiters))
-            if type(nxt) is Request:
-                self._grant(nxt)
-            else:  # a wait_claim hook; grant it a slot directly
-                claimed = self._claim_token()
-                self.busy_stat.record(len(self._users))
-                nxt(claimed)
-
-    def try_claim(self) -> Optional[Request]:
-        """Claim a free slot immediately, without scheduling a grant event.
-
-        Returns the holding :class:`Request` (pass it to :meth:`unclaim`
-        later), or ``None`` if no slot is free.  The request is *not*
-        triggered — callers must not ``yield`` it.  This is the
-        uncontended fast path used by the network's batched send; it
-        skips the time-weighted utilisation stats (which nothing on that
-        path reports) — simulated *timing* is unaffected, but run with
-        ``fast_sync=False`` when NIC utilisation statistics matter.
-        """
-        users = self._users
-        if len(users) >= self.capacity:
-            return None
-        return self._claim_token()
-
-    def _claim_token(self) -> Request:
-        """Occupy a slot with the recycled no-event token request.
-
-        The token never fires as an event, so one per resource can be
-        recycled across non-overlapping holds (a fresh Request is minted
-        only while the previous token is still held).
-        """
-        req = self._token
-        if req is None or req in self._users:
-            req = Request(self)
-            self._token = req
-        self._users.add(req)
-        return req
-
-    def wait_claim(self, hook) -> None:
-        """Queue *hook* for a slot, FIFO with :meth:`request` waiters.
-
-        When a slot frees, ``hook(req)`` is invoked *synchronously* from
-        the releaser (no grant event round-trip) with the claimed
-        request, which the hook must eventually :meth:`unclaim`.  Only
-        for fast-path callers that would otherwise immediately chain off
-        the grant event at the same instant.
-        """
-        self._waiters.append(hook)
-
-    def unclaim(self, req: Request) -> None:
-        """Release a :meth:`try_claim`'d slot; grants waiters normally."""
-        self._users.discard(req)
-        while self._waiters and len(self._users) < self.capacity:
-            nxt = self._waiters.popleft()
-            if type(nxt) is Request:
-                self.queue_stat.record(len(self._waiters))
-                self._grant(nxt)
-            else:
-                nxt(self._claim_token())
+            self._grant(nxt)
+            return nxt
+        return None
 
     def serve(self, hold: float):
         """Generator helper: acquire, hold for *hold* cycles, release."""

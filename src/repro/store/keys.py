@@ -20,7 +20,7 @@ stable 64-hex SHA-256 key suitable for a content-addressed store:
 * **environment capture** — the caller passes the ambient state that
   changes results but does not travel in the task tuple (the armed
   global fault plan); the sync path is deliberately *excluded* because
-  all three paths are bit-identical by contract (docs/PERFORMANCE.md).
+  both paths are bit-identical by contract (docs/PERFORMANCE.md).
 
 :func:`request_key` is the request-level analogue used by the sweep
 service: it additionally folds in the prediction-model set, so two

@@ -16,10 +16,10 @@ from repro.qsmlib import QSMMachine, RunConfig, SoftwareConfig
 from repro.qsmlib.program import SPMDError
 
 
-def _config(p: int = 4, fast_sync: bool = True, check_semantics: bool = True) -> RunConfig:
+def _config(p: int = 4, path: str = "epoch", check_semantics: bool = True) -> RunConfig:
     return RunConfig(
         machine=MachineConfig(p=p),
-        software=SoftwareConfig(fast_sync=fast_sync),
+        software=SoftwareConfig(sync_path=path),
         seed=7,
         check_semantics=check_semantics,
     )
@@ -28,29 +28,29 @@ def _config(p: int = 4, fast_sync: bool = True, check_semantics: bool = True) ->
 # ----------------------------------------------------------------------
 # The paper's workloads are sanitizer-clean under both sync paths
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("fast_sync", [True, False], ids=["fast", "oracle"])
+@pytest.mark.parametrize("path", ["epoch", "slow"], ids=["epoch", "oracle"])
 class TestPaperAlgorithmsClean:
-    def test_prefix(self, sanitizer, fast_sync):
+    def test_prefix(self, sanitizer, path):
         from repro.algorithms.prefix import run_prefix_sums
 
         values = np.arange(64, dtype=np.int64)
-        out = run_prefix_sums(values, _config(fast_sync=fast_sync))
+        out = run_prefix_sums(values, _config(path=path))
         assert np.array_equal(out.result, np.cumsum(values))
         assert sanitizer.diagnostics == []
 
-    def test_samplesort(self, sanitizer, fast_sync):
+    def test_samplesort(self, sanitizer, path):
         from repro.algorithms.samplesort import run_sample_sort
 
         values = np.random.default_rng(3).integers(0, 10_000, 256)
-        out = run_sample_sort(values, _config(fast_sync=fast_sync))
+        out = run_sample_sort(values, _config(path=path))
         assert np.array_equal(out.result, np.sort(values))
         assert sanitizer.diagnostics == []
 
-    def test_listrank(self, sanitizer, fast_sync):
+    def test_listrank(self, sanitizer, path):
         from repro.algorithms.listrank import make_random_list, run_list_ranking
 
         succ = make_random_list(64, seed=5)
-        out = run_list_ranking(succ, _config(fast_sync=fast_sync))
+        out = run_list_ranking(succ, _config(path=path))
         assert out.ranks.min() == 1 and out.ranks.max() == 64
         assert sanitizer.diagnostics == []
 
@@ -231,6 +231,73 @@ def test_desync_recorded_alongside_spmderror(sanitizer_warn):
         qm.run(quitter)
     codes = [d.code for d in sanitizer_warn.diagnostics]
     assert "QS007" in codes
+
+
+def _seeded_bug_programs():
+    """One ``(p, program)`` case per seeded-bug shape above."""
+
+    def conflicted(ctx, A):
+        ctx.get(A, [1, 2])
+        ctx.put(A, [2, 3], [10, 20])
+        yield ctx.sync()
+
+    def racy(ctx, A):
+        ctx.put(A, [5], [ctx.pid + 100])
+        yield ctx.sync()
+
+    def racy_large(ctx, A):
+        ctx.put(A, np.arange(16), np.full(16, ctx.pid))
+        yield ctx.sync()
+
+    def lossy(ctx, A):
+        ctx.put(A, [0], [1.5])
+        yield ctx.sync()
+
+    def oob(ctx, A):
+        ctx.put(A, [99], [1])
+        yield ctx.sync()
+
+    def lopsided(ctx, A):
+        if ctx.pid == 0:
+            ctx.alloc("tmp", 16)
+        yield ctx.sync()
+
+    def quitter(ctx, A):
+        if ctx.pid == 0:
+            return
+        yield ctx.sync()
+
+    return [
+        pytest.param(2, conflicted, id="conflicted"),
+        pytest.param(4, racy, id="racy"),
+        pytest.param(2, racy_large, id="racy_large"),
+        pytest.param(2, lossy, id="lossy"),
+        pytest.param(2, oob, id="oob"),
+        pytest.param(4, lopsided, id="lopsided"),
+        pytest.param(4, quitter, id="quitter"),
+    ]
+
+
+@pytest.mark.parametrize("p,program", _seeded_bug_programs())
+def test_seeded_bugs_report_identically_on_epoch_and_oracle(sanitizer_warn, p, program):
+    """An armed sanitizer keeps the run on the epoch kernel (it reads only
+    the realized request queues) and reports exactly what the oracle does."""
+    outcomes = {}
+    for path in ("epoch", "slow"):
+        before = len(sanitizer_warn.diagnostics)
+        qm = QSMMachine(_config(p=p, path=path, check_semantics=False))
+        A = qm.allocate("seeded", 16)
+        try:
+            qm.run(program, A=A)
+            raised = None
+        except Exception as exc:  # the outcome itself is compared
+            raised = type(exc).__name__
+        outcomes[path] = (raised, sanitizer_warn.diagnostics[before:])
+        if path == "epoch":
+            counts = qm._engine.path_counts
+            assert counts == {"slow": 0, "epoch": counts["epoch"]}
+    assert outcomes["epoch"] == outcomes["slow"]
+    assert outcomes["epoch"][1], "every seeded bug is reported"
 
 
 def test_diagnostics_feed_obs_metrics(obs_state, sanitizer_warn):

@@ -1,18 +1,20 @@
-"""The vectorized epoch kernel must be timing-equivalent to the DES.
+"""The vectorized epoch kernel must be timing-equivalent to the oracle.
 
 ``SyncPath.EPOCH`` prices a whole bulk-synchronous phase with numpy
 array math and one flat merge loop; the discrete-event simulator is
-only consulted at the phase boundary.  Like the fast path before it
-(see test_fast_sync_equivalence.py), that is a pure simulator
+only consulted at the phase boundary.  That is a pure simulator
 optimisation: every observable quantity — per-phase start/ready/end
-times, communication cycles, algorithm outputs, experiment tables —
-must come out bit-for-bit identical with both DES paths.  These tests
-pin that contract across processor counts and all three paper
-algorithms, the automatic fallback to per-message simulation when a
-feature needs it, and the CLI/env plumbing that selects the path.
+times, communication cycles, algorithm outputs, sweep rows, experiment
+tables — must come out bit-for-bit identical with the per-message DES
+oracle (``SyncPath.SLOW``).  These tests pin that contract across
+processor counts and all three paper algorithms, the automatic fallback
+to the oracle when a feature needs per-message events, and the CLI/env
+plumbing that selects the path.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.machine.config import MachineConfig
 from repro.qsmlib.config import SoftwareConfig, SyncPath
 from repro.qsmlib.program import RunConfig
 
-PATHS = ("slow", "fast", "epoch")
+PATHS = ("slow", "epoch")
 
 
 def _config(p: int, path: str, machine: MachineConfig = None) -> RunConfig:
@@ -44,15 +46,28 @@ def _phase_fingerprint(run) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Bit identity across all three paths, all three algorithms
+# Bit identity across both paths, all three algorithms
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("p", [1, 2, 4, 8])
-def test_samplesort_bit_identical_on_all_paths(p):
+def _zero_latency(p: int) -> MachineConfig:
+    """No wire latency: a chunk arrives the instant its injection ends,
+    so same-instant ties between arrivals, deliveries and node resumes
+    abound."""
+    return MachineConfig(p=p, network=replace(MachineConfig().network, latency_cycles=0.0))
+
+
+@pytest.mark.parametrize(
+    "p,machine",
+    [pytest.param(p, None, id=str(p)) for p in (1, 2, 4, 8)]
+    + [pytest.param(3, _zero_latency(3), id="3-zero-latency")],
+)
+def test_samplesort_bit_identical_on_all_paths(p, machine):
     rng = np.random.default_rng(42)
     data = rng.integers(0, 1 << 30, size=2000)
-    runs = {path: run_sample_sort(data.copy(), config=_config(p, path)) for path in PATHS}
-    fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
+    runs = {
+        path: run_sample_sort(data.copy(), config=_config(p, path, machine))
+        for path in PATHS
+    }
+    assert _phase_fingerprint(runs["epoch"].run) == _phase_fingerprint(runs["slow"].run)
     np.testing.assert_array_equal(runs["epoch"].result, runs["slow"].result)
 
 
@@ -61,35 +76,58 @@ def test_prefix_bit_identical_on_all_paths(p):
     rng = np.random.default_rng(7)
     data = rng.integers(0, 1000, size=3000)
     runs = {path: run_prefix_sums(data.copy(), config=_config(p, path)) for path in PATHS}
-    fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
+    assert _phase_fingerprint(runs["epoch"].run) == _phase_fingerprint(runs["slow"].run)
     np.testing.assert_array_equal(runs["epoch"].result, runs["slow"].result)
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, 8])
-def test_listrank_bit_identical_on_all_paths(p):
-    succ = make_random_list(1500, seed=3)
-    runs = {path: run_list_ranking(succ.copy(), config=_config(p, path)) for path in PATHS}
-    fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
+@pytest.mark.parametrize(
+    "p,machine,n,list_seed,run_seed",
+    [pytest.param(p, None, 1500, 3, 5, id=str(p)) for p in (1, 2, 4, 8)]
+    # A queued chunk starts service in the event that frees its receive
+    # engine, ahead of the same-instant events already waiting.
+    + [pytest.param(12, _zero_latency(12), 1200, 520, 520, id="12-zero-latency")],
+)
+def test_listrank_bit_identical_on_all_paths(p, machine, n, list_seed, run_seed):
+    succ = make_random_list(n, seed=list_seed)
+    runs = {
+        path: run_list_ranking(
+            succ.copy(), config=replace(_config(p, path, machine), seed=run_seed)
+        )
+        for path in PATHS
+    }
+    assert _phase_fingerprint(runs["epoch"].run) == _phase_fingerprint(runs["slow"].run)
     np.testing.assert_array_equal(runs["epoch"].ranks, runs["slow"].ranks)
 
 
-def test_epoch_does_no_more_kernel_work_than_fast():
-    """Same timings, at most as many events: the point of the kernel."""
+def test_epoch_does_less_kernel_work_than_oracle():
+    """Same timings, fewer events: the point of the kernel."""
     rng = np.random.default_rng(0)
     data = rng.integers(0, 1 << 30, size=4000)
     epoch = run_sample_sort(data.copy(), config=_config(8, "epoch"))
-    fast = run_sample_sort(data.copy(), config=_config(8, "fast"))
-    assert epoch.run.sim_events < fast.run.sim_events
+    slow = run_sample_sort(data.copy(), config=_config(8, "slow"))
+    assert epoch.run.sim_events < slow.run.sim_events
+
+
+def test_sweep_rows_identical(monkeypatch):
+    """The fig2-style sweep produces identical aggregated points."""
+    import dataclasses
+
+    from repro.experiments.sweeps import run_samplesort_sweep
+
+    def rows(path: str):
+        monkeypatch.setenv("QSM_SYNC_PATH", path)
+        sweep = run_samplesort_sweep(MachineConfig(p=8), [4096, 8192], reps=2, seed=0)
+        return [dataclasses.asdict(pt) for pt in sweep.points]
+
+    assert rows("slow") == rows("epoch")
 
 
 # ----------------------------------------------------------------------
-# Automatic fallback when a feature needs per-message fidelity
+# Automatic fallback when a feature needs per-message events
 # ----------------------------------------------------------------------
 def test_epoch_falls_back_under_network_faults():
-    """A network-perturbing fault plan degrades epoch to per-message
-    simulation; all three configured paths then agree event-for-event."""
+    """A network-perturbing fault plan degrades epoch to the oracle: both
+    configured paths then agree event-for-event."""
     rng = np.random.default_rng(9)
     data = rng.integers(0, 1 << 30, size=2000)
     machine = MachineConfig(p=4).with_faults(
@@ -99,11 +137,8 @@ def test_epoch_falls_back_under_network_faults():
         path: run_sample_sort(data.copy(), config=_config(4, path, machine=machine))
         for path in PATHS
     }
-    fingerprints = {path: _phase_fingerprint(r.run) for path, r in runs.items()}
-    assert fingerprints["epoch"] == fingerprints["fast"] == fingerprints["slow"]
-    # The degraded epoch run does the same per-message work as fast
-    # (which itself degrades to the oracle when faults are armed).
-    assert runs["epoch"].run.sim_events == runs["fast"].run.sim_events
+    assert _phase_fingerprint(runs["epoch"].run) == _phase_fingerprint(runs["slow"].run)
+    assert runs["epoch"].run.sim_events == runs["slow"].run.sim_events
     np.testing.assert_array_equal(runs["epoch"].result, runs["slow"].result)
 
 
@@ -121,19 +156,18 @@ def test_epoch_falls_back_under_send_pacing():
             ),
         )
 
-    epoch, fast = run("epoch"), run("fast")
-    assert _phase_fingerprint(epoch.run) == _phase_fingerprint(fast.run)
-    assert epoch.run.sim_events == fast.run.sim_events
+    epoch, slow = run("epoch"), run("slow")
+    assert _phase_fingerprint(epoch.run) == _phase_fingerprint(slow.run)
+    assert epoch.run.sim_events == slow.run.sim_events
 
 
 # ----------------------------------------------------------------------
-# Config resolution: enum, env, deprecated aliases
+# Config resolution: enum and env
 # ----------------------------------------------------------------------
 def test_sync_path_resolution_and_default(monkeypatch):
     monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
-    monkeypatch.delenv("QSM_FAST_SYNC", raising=False)
+    assert [path.value for path in SyncPath] == ["slow", "epoch"]
     assert SoftwareConfig().sync_path is SyncPath.EPOCH
-    assert SoftwareConfig(sync_path="fast").sync_path is SyncPath.FAST
     assert SoftwareConfig(sync_path=SyncPath.SLOW).sync_path is SyncPath.SLOW
     monkeypatch.setenv("QSM_SYNC_PATH", "slow")
     assert SoftwareConfig().sync_path is SyncPath.SLOW
@@ -150,24 +184,8 @@ def test_invalid_sync_path_env_raises(monkeypatch):
 def test_invalid_sync_path_field_raises():
     with pytest.raises(ValueError):
         SoftwareConfig(sync_path="turbo")
-
-
-def test_fast_sync_field_is_deprecated(monkeypatch):
-    monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
-    with pytest.deprecated_call():
-        cfg = SoftwareConfig(fast_sync=True)
-    assert cfg.sync_path is SyncPath.FAST
-    with pytest.deprecated_call():
-        assert SoftwareConfig(fast_sync=False).sync_path is SyncPath.SLOW
-
-
-def test_fast_sync_env_is_deprecated(monkeypatch):
-    monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
-    monkeypatch.setenv("QSM_FAST_SYNC", "0")
-    with pytest.deprecated_call():
-        assert SoftwareConfig().sync_path is SyncPath.SLOW
-    monkeypatch.setenv("QSM_SYNC_PATH", "epoch")  # new var wins, no warning
-    assert SoftwareConfig().sync_path is SyncPath.EPOCH
+    with pytest.raises(ValueError):
+        SoftwareConfig(sync_path="fast")
 
 
 # ----------------------------------------------------------------------
@@ -184,15 +202,16 @@ def _cli_figure_data(fig, tmp_path, monkeypatch, path):
     return json.loads(out.read_text())["data"]
 
 
-@pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig8"])
 def test_cli_figures_identical_across_paths(fig, tmp_path, monkeypatch):
     datasets = [_cli_figure_data(fig, tmp_path, monkeypatch, path) for path in PATHS]
-    assert datasets[0] == datasets[1] == datasets[2]
+    assert datasets[0] == datasets[1]
 
 
-def test_cli_sync_path_flag(tmp_path, monkeypatch):
+def test_cli_sync_path_flag(tmp_path, monkeypatch, capsys):
     """`--sync-path` selects the path for the whole run (and its --jobs
-    workers, via the environment) and restores the environment after."""
+    workers, via the environment) and restores the environment after;
+    the deleted 'fast' path is a usage error naming the valid ones."""
     import json
     import os
 
@@ -200,9 +219,14 @@ def test_cli_sync_path_flag(tmp_path, monkeypatch):
 
     monkeypatch.delenv("QSM_SYNC_PATH", raising=False)
     results = {}
-    for path in ("fast", "epoch"):
+    for path in PATHS:
         out = tmp_path / f"flag_{path}.json"
         assert main(["run", "fig1", "--fast", "--json", str(out), "--sync-path", path]) == 0
         assert "QSM_SYNC_PATH" not in os.environ, "flag leaked into the environment"
         results[path] = json.loads(out.read_text())["data"]
-    assert results["fast"] == results["epoch"]
+    assert results["slow"] == results["epoch"]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig1", "--fast", "--sync-path", "fast"])
+    assert exc.value.code == 2
+    assert "'slow', 'epoch'" in capsys.readouterr().err

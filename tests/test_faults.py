@@ -9,7 +9,7 @@ The contracts under test (see docs/ROBUSTNESS.md):
 * the same (plan, run seed) always reproduces the same fault schedule;
   different seeds differ;
 * injected network faults slow measured communication, charge real
-  retransmit traffic, and disable the analytic fast path;
+  retransmit traffic, and disable the epoch kernel;
 * straggler and membank axes perturb their own layers, deterministically;
 * retransmit exhaustion surfaces as FaultError, not a hang.
 """
@@ -160,11 +160,11 @@ class TestNetworkFaults:
         assert tally["fault.retransmits"] == tally["fault.drops"]
         assert tally["fault.retransmit_bytes"] > 0
 
-    def test_network_faults_disable_fast_path(self):
+    def test_network_faults_disable_epoch_path(self):
         perturbed = QSMMachine(
             RunConfig(machine=MachineConfig(p=4).with_faults(DROPPY), seed=1)
         )
-        assert not perturbed.machine.network.supports_fast_path
+        assert not perturbed.machine.network.ideal_delivery
         compute_only = QSMMachine(
             RunConfig(
                 machine=MachineConfig(p=4).with_faults(
@@ -173,7 +173,7 @@ class TestNetworkFaults:
                 seed=1,
             )
         )
-        assert compute_only.machine.network.supports_fast_path
+        assert compute_only.machine.network.ideal_delivery
 
     def test_retransmit_exhaustion_raises_fault_error(self):
         config = MachineConfig(p=2).with_faults(

@@ -4,8 +4,8 @@ The load-bearing property is *reconciliation*: the exported spans must
 decompose the phase timings the experiments report — per processor, the
 ``qsm.compute``/``entry``/``plan``/``data``/``reply``/``barrier``
 segments contiguously partition the ``qsm.phase`` span, whose bounds
-match the :class:`~repro.qsmlib.stats.PhaseRecord` — under both the
-fast-sync and per-message oracle paths.
+match the :class:`~repro.qsmlib.stats.PhaseRecord` — on the epoch kernel
+and on the per-message oracle alike, which record identical spans.
 """
 
 import json
@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.machine.config import MachineConfig
+from repro.algorithms.listrank import make_random_list, run_list_ranking
+from repro.algorithms.prefix import run_prefix_sums
+from repro.algorithms.samplesort import run_sample_sort
+from repro.machine.config import ClusterTopology, MachineConfig
 from repro.qsmlib import QSMMachine, RunConfig
 from repro.qsmlib.config import SoftwareConfig
 
@@ -32,21 +35,23 @@ def exchange_program(ctx, A):
     return int(got.data[0])
 
 
-def run_with_obs(fast_sync, p=4, seed=3):
+def run_with_obs(path, p=4, seed=3):
+    """Run the exchange program with obs on; returns (result, capture,
+    phases run per sync path)."""
     cfg = RunConfig(
         machine=MachineConfig(p=p),
-        software=SoftwareConfig(fast_sync=fast_sync),
+        software=SoftwareConfig(sync_path=path),
         seed=seed,
     )
     qm = QSMMachine(cfg)
     A = qm.allocate("a", 4 * p)
     result = qm.run(exchange_program, A=A)
-    return result, obs.runs()[-1]
+    return result, obs.runs()[-1], qm._engine.path_counts
 
 
-@pytest.mark.parametrize("fast_sync", [True, False])
-def test_phase_spans_reconcile_with_phase_records(obs_state, fast_sync):
-    result, run = run_with_obs(fast_sync)
+@pytest.mark.parametrize("path", ["epoch", "slow"])
+def test_phase_spans_reconcile_with_phase_records(obs_state, path):
+    result, run, _ = run_with_obs(path)
     p = result.p
     phase_spans = [s for s in run.spans if s.name == "qsm.phase"]
     assert len(phase_spans) == len(result.phases) * p
@@ -76,25 +81,70 @@ def test_phase_spans_reconcile_with_phase_records(obs_state, fast_sync):
                 assert prev.t1 == nxt.t0
 
 
-def test_fast_and_oracle_traces_agree_on_phase_bounds(obs_state):
-    res_fast, run_fast = run_with_obs(True)
-    res_oracle, run_oracle = run_with_obs(False)
-    # the fast path is timing-equivalent, so phase spans must agree
-    fast = sorted(
-        (s.attrs["phase"], s.track, s.t0, s.t1)
-        for s in run_fast.spans
-        if s.name == "qsm.phase"
-    )
-    oracle = sorted(
-        (s.attrs["phase"], s.track, s.t0, s.t1)
-        for s in run_oracle.spans
-        if s.name == "qsm.phase"
-    )
-    assert fast == oracle
+def test_epoch_and_oracle_traces_agree_on_phase_bounds(obs_state):
+    def phase_bounds(path):
+        _, run, _ = run_with_obs(path)
+        return sorted(
+            (s.attrs["phase"], s.track, s.t0, s.t1) for s in run.spans if s.name == "qsm.phase"
+        )
+
+    assert phase_bounds("epoch") == phase_bounds("slow")
+
+
+def test_obs_on_runs_stay_on_epoch(obs_state):
+    result, _, path_counts = run_with_obs("epoch")
+    assert path_counts == {"slow": 0, "epoch": len(result.phases)}
+
+
+_ALGORITHMS = {
+    "prefix": lambda cfg: run_prefix_sums(
+        np.random.default_rng(7).integers(0, 1000, size=3000), config=cfg
+    ),
+    "samplesort": lambda cfg: run_sample_sort(
+        np.random.default_rng(42).integers(0, 1 << 30, size=2000), config=cfg
+    ),
+    "listrank": lambda cfg: run_list_ranking(make_random_list(1500, seed=3), config=cfg),
+}
+
+
+def _qsm_record(algorithm, machine, path):
+    """The qsm.* spans (without wall clocks) and metrics of one run."""
+    obs.enable()
+    try:
+        _ALGORITHMS[algorithm](
+            RunConfig(machine=machine, software=SoftwareConfig(sync_path=path), seed=5)
+        )
+        spans = sorted(
+            (s.name, s.track, s.t0, s.t1, s.depth, sorted((s.attrs or {}).items()))
+            for s in obs.runs()[-1].spans
+            if s.name.startswith("qsm.")
+        )
+        metrics = {
+            name: metric.snapshot()
+            for name, metric in obs.metrics().items()
+            if name.startswith("qsm.")
+        }
+    finally:
+        obs.disable()
+    return spans, metrics
+
+
+@pytest.mark.parametrize("algorithm", sorted(_ALGORITHMS))
+@pytest.mark.parametrize(
+    "machine",
+    [MachineConfig(p=p) for p in (1, 2, 3, 4, 8, 16)]
+    + [MachineConfig(p=8, topology=ClusterTopology())],
+    ids=["p1", "p2", "p3", "p4", "p8", "p16", "cluster-p8"],
+)
+def test_epoch_and_oracle_record_identical_spans_and_metrics(algorithm, machine):
+    epoch_spans, epoch_metrics = _qsm_record(algorithm, machine, "epoch")
+    slow_spans, slow_metrics = _qsm_record(algorithm, machine, "slow")
+    assert epoch_spans and epoch_spans == slow_spans
+    assert epoch_metrics == slow_metrics
 
 
 def test_qsm_metrics_traffic_accounting(obs_state):
-    result, _ = run_with_obs(True)
+    result, _, _ = run_with_obs("epoch")
     m = obs.metrics()
     assert m.counter("qsm.syncs").value == len(result.phases)
     put_words = sum(int(r.put_words.sum()) for r in result.phases)
@@ -106,15 +156,16 @@ def test_qsm_metrics_traffic_accounting(obs_state):
 
 
 def test_run_label_names_sync_path(obs_state):
-    run_with_obs(True)
-    run_with_obs(False)
+    run_with_obs("epoch")
+    run_with_obs("slow")
     labels = [r.label for r in obs.runs()]
-    assert any("sync=fast" in lbl for lbl in labels)
-    assert any("sync=oracle" in lbl for lbl in labels)
+    assert any("sync=epoch" in lbl for lbl in labels)
+    assert any("sync=slow" in lbl for lbl in labels)
 
 
 def test_network_instants_recorded(obs_state):
-    _, run = run_with_obs(True)
+    # per-message instants are the oracle's: epoch never steps messages
+    _, run, _ = run_with_obs("slow")
     names = {s.name for s in run.instants}
     assert "net.deliver" in names
     delivered = sum(1 for s in run.instants if s.name == "net.deliver")

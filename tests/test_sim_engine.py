@@ -163,37 +163,15 @@ def test_fractional_delays(sim):
     assert times == [0.5, 0.75]
 
 
-def test_fast_sync_processes_strictly_fewer_events():
-    """A multi-chunk exchange under fast_sync collapses the per-chunk
-    event storm: the kernel must process strictly fewer events while
-    producing the identical simulated clock."""
-    import numpy as np
+def test_reserved_seq_orders_same_instant_events(sim):
+    """An event scheduled with a reserved tie-break number fires among
+    same-instant events as if scheduled when the number was reserved."""
+    from repro.sim.engine import _Deferred
 
-    from repro.machine.config import MachineConfig
-    from repro.qsmlib.config import SoftwareConfig
-    from repro.qsmlib.program import QSMMachine, RunConfig
-
-    def exchange(ctx, A):
-        # ~5 chunks per destination at the default 16 KiB chunk size.
-        n_words = 12000
-        values = np.arange(n_words, dtype=np.int64)
-        dst = (ctx.pid + 1) % ctx.p
-        ctx.put_range(A, dst * n_words, values)
-        yield ctx.sync()
-
-    def run(fast_sync):
-        qm = QSMMachine(
-            RunConfig(
-                machine=MachineConfig(p=4),
-                software=SoftwareConfig(fast_sync=fast_sync),
-                check_semantics=False,
-            )
-        )
-        A = qm.allocate("a", 4 * 12000)
-        qm.run(exchange, A=A)
-        return qm.machine.sim.event_count, qm.machine.sim.now
-
-    fast_events, fast_now = run(True)
-    slow_events, slow_now = run(False)
-    assert fast_now == slow_now  # identical simulated time
-    assert fast_events < slow_events  # strictly less kernel work
+    log = []
+    early, late = sim.reserve(2)
+    sim.schedule_at(_Deferred(lambda: log.append("plain")), 5)
+    sim.schedule_at(_Deferred(lambda: log.append("late")), 5, seq=late)
+    sim.schedule_at(_Deferred(lambda: log.append("early")), 5, seq=early)
+    sim.run()
+    assert log == ["early", "late", "plain"]

@@ -112,16 +112,15 @@ def test_describe_named_process():
 def test_tracing_a_full_qsm_sync():
     """Smoke: the trace captures a sync's structure without breaking it.
 
-    Traces the per-message oracle path (fast_sync=False) — the batched
-    fast path intentionally elides the grant/timeout micro-events this
-    test wants to see.
+    A kernel step hook keeps every phase on the per-message oracle,
+    whose grant/timeout micro-events this test wants to see.
     """
     from repro.machine.config import MachineConfig
     from repro.qsmlib import QSMMachine, RunConfig
     from repro.qsmlib.config import SoftwareConfig
 
     qm = QSMMachine(
-        RunConfig(machine=MachineConfig(p=4), software=SoftwareConfig(fast_sync=False))
+        RunConfig(machine=MachineConfig(p=4), software=SoftwareConfig(sync_path="slow"))
     )
     trace = TraceRecorder(qm.machine.sim)
     A = qm.allocate("a", 16)
