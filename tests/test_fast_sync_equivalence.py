@@ -1,12 +1,13 @@
-"""The fast sync path must be timing-equivalent to the oracle path.
+"""Instrumented runs keep the fast sync path and its timings.
 
-``SoftwareConfig.fast_sync`` collapses the per-chunk event storm of a
-sync into batched analytic sends.  That is a pure simulator
-optimisation: every *observable* quantity — per-phase start/end times,
-communication cycles, algorithm outputs, sweep rows — must come out
-bit-for-bit identical with the per-message oracle path.  These tests
-pin that contract across processor counts and all three paper
-algorithms, and at the CLI/env layer.
+Observability and the phase-conflict sanitizer used to push every phase
+off the vectorized epoch kernel onto a separate batched DES path.  Both
+now run on epoch itself: epoch records the ``qsm.*`` spans and phase
+metrics, and the sanitizer reads only the realized request queues.
+Turning them on must neither move a run off epoch nor change anything it
+measures: an instrumented epoch run is bit-for-bit identical with the
+plain per-message oracle (``SyncPath.SLOW``).  These tests pin that
+across processor counts, all three paper algorithms and the CLI.
 """
 
 from __future__ import annotations
@@ -14,18 +15,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import check, obs
 from repro.algorithms.listrank import make_random_list, run_list_ranking
 from repro.algorithms.prefix import run_prefix_sums
 from repro.algorithms.samplesort import run_sample_sort
 from repro.machine.config import MachineConfig
 from repro.qsmlib.config import SoftwareConfig
 from repro.qsmlib.program import RunConfig
+from repro.qsmlib.runtime import SyncEngine
 
 
-def _config(p: int, fast_sync: bool) -> RunConfig:
+def _config(p: int, path: str) -> RunConfig:
     return RunConfig(
         machine=MachineConfig(p=p),
-        software=SoftwareConfig(fast_sync=fast_sync),
+        software=SoftwareConfig(sync_path=path),
         seed=5,
     )
 
@@ -37,80 +40,79 @@ def _phase_fingerprint(run) -> tuple:
     ) + (run.total_cycles, run.trailing_compute_cycles)
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """Every sync engine built during the test, to read its path counts."""
+    built = []
+    init = SyncEngine.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SyncEngine, "__init__", spy)
+    return built
+
+
+def _instrumented(run):
+    """``run()`` with observability on and the sanitizer armed."""
+    obs.enable()
+    check.arm("error")
+    try:
+        return run()
+    finally:
+        check.disarm()
+        obs.disable()
+
+
+def _assert_stayed_on_epoch(engine, run) -> None:
+    assert engine.path_counts == {"slow": 0, "epoch": len(run.phases)}
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
-def test_samplesort_bit_identical(p):
-    rng = np.random.default_rng(42)
-    data = rng.integers(0, 1 << 30, size=2000)
-    fast = run_sample_sort(data.copy(), config=_config(p, True))
-    slow = run_sample_sort(data.copy(), config=_config(p, False))
+def test_samplesort_bit_identical(p, engines):
+    data = np.random.default_rng(42).integers(0, 1 << 30, size=2000)
+    fast = _instrumented(lambda: run_sample_sort(data.copy(), config=_config(p, "epoch")))
+    _assert_stayed_on_epoch(engines[-1], fast.run)
+    slow = run_sample_sort(data.copy(), config=_config(p, "slow"))
     assert _phase_fingerprint(fast.run) == _phase_fingerprint(slow.run)
     np.testing.assert_array_equal(fast.result, slow.result)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
-def test_prefix_bit_identical(p):
-    rng = np.random.default_rng(7)
-    data = rng.integers(0, 1000, size=3000)
-    fast = run_prefix_sums(data.copy(), config=_config(p, True))
-    slow = run_prefix_sums(data.copy(), config=_config(p, False))
+def test_prefix_bit_identical(p, engines):
+    data = np.random.default_rng(7).integers(0, 1000, size=3000)
+    fast = _instrumented(lambda: run_prefix_sums(data.copy(), config=_config(p, "epoch")))
+    _assert_stayed_on_epoch(engines[-1], fast.run)
+    slow = run_prefix_sums(data.copy(), config=_config(p, "slow"))
     assert _phase_fingerprint(fast.run) == _phase_fingerprint(slow.run)
     np.testing.assert_array_equal(fast.result, slow.result)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 8])
-def test_listrank_bit_identical(p):
+def test_listrank_bit_identical(p, engines):
     succ = make_random_list(1500, seed=3)
-    fast = run_list_ranking(succ.copy(), config=_config(p, True))
-    slow = run_list_ranking(succ.copy(), config=_config(p, False))
+    fast = _instrumented(lambda: run_list_ranking(succ.copy(), config=_config(p, "epoch")))
+    _assert_stayed_on_epoch(engines[-1], fast.run)
+    slow = run_list_ranking(succ.copy(), config=_config(p, "slow"))
     assert _phase_fingerprint(fast.run) == _phase_fingerprint(slow.run)
     np.testing.assert_array_equal(fast.ranks, slow.ranks)
 
 
-def test_fast_path_does_strictly_less_kernel_work():
-    """Same timings, fewer events: the whole point of the fast path."""
-    rng = np.random.default_rng(0)
-    data = rng.integers(0, 1 << 30, size=4000)
-    fast = run_sample_sort(data.copy(), config=_config(8, True))
-    slow = run_sample_sort(data.copy(), config=_config(8, False))
-    assert fast.run.sim_events < slow.run.sim_events
-
-
-def test_sweep_rows_identical(monkeypatch):
-    """The fig2-style sweep produces identical aggregated points."""
-    import dataclasses
-
-    from repro.experiments.sweeps import run_samplesort_sweep
-
-    def rows(fast_sync: str):
-        monkeypatch.setenv("QSM_FAST_SYNC", fast_sync)
-        sweep = run_samplesort_sweep(MachineConfig(p=8), [4096, 8192], reps=2, seed=0)
-        return [dataclasses.asdict(pt) for pt in sweep.points]
-
-    assert rows("1") == rows("0")
-
-
-def test_env_toggle_round_trip(monkeypatch):
-    """QSM_FAST_SYNC gates the default; explicit field always wins."""
-    monkeypatch.setenv("QSM_FAST_SYNC", "0")
-    assert SoftwareConfig().fast_sync is False
-    assert SoftwareConfig(fast_sync=True).fast_sync is True
-    monkeypatch.setenv("QSM_FAST_SYNC", "1")
-    assert SoftwareConfig().fast_sync is True
-    monkeypatch.delenv("QSM_FAST_SYNC")
-    assert SoftwareConfig().fast_sync is True
-
-
 def test_cli_data_identical_across_env_toggle(tmp_path, monkeypatch):
-    """`qsm-repro run` emits identical experiment data either way."""
+    """`qsm-repro run` with tracing and the sanitizer on the default path
+    emits the same experiment data as a plain run on the oracle."""
     import json
 
     from repro.experiments.cli import main
 
-    def payload(fast_sync: str):
-        monkeypatch.setenv("QSM_FAST_SYNC", fast_sync)
-        out = tmp_path / f"fig1_{fast_sync}.json"
-        assert main(["run", "fig1", "--fast", "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        return doc["data"]
+    def payload(path: str, *extra: str):
+        monkeypatch.setenv("QSM_SYNC_PATH", path)
+        out = tmp_path / f"fig1_{path}.json"
+        assert main(["run", "fig1", "--fast", "--json", str(out), *extra]) == 0
+        return json.loads(out.read_text())["data"]
 
-    assert payload("1") == payload("0")
+    trace = tmp_path / "trace.json"
+    fast = payload("epoch", "--trace", str(trace), "--sanitize")
+    assert trace.exists()
+    assert fast == payload("slow")
