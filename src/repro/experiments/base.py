@@ -100,8 +100,8 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def drop_failed(values: Sequence[Any]) -> List[Any]:
-    """Strip :data:`~repro.experiments.executor.FAILED` markers from one
-    rep group (the resilient executor's stand-ins for poisoned points)."""
+    """Strip :class:`~repro.experiments.executor.FailedPoint` markers from
+    one rep group (the resilient executor's stand-ins for poisoned points)."""
     return [v for v in values if not is_failed(v)]
 
 

@@ -63,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
         "prediction models are not"
     )
     checkpoint_help = (
-        "journal completed sweep points to DIR (JSONL); re-running the same "
-        "command resumes, replaying journalled points byte-identically"
+        "run on the resilient engine and keep completed sweep points in the "
+        "result store at DIR (as --cache does); re-running the same command "
+        "resumes, replaying stored points byte-identically and re-running "
+        "failed ones"
     )
     retries_help = "retries per sweep point before it is recorded as failed (default 2)"
     timeout_help = "kill a sweep point's worker after this many seconds"
@@ -387,7 +389,6 @@ def _resilience_setup(args) -> bool:
             executor.ExecutionPolicy(
                 task_timeout_seconds=timeout,
                 max_retries=2 if retries is None else retries,
-                checkpoint_dir=ckpt,
             )
         )
     except ValueError as exc:
@@ -418,15 +419,32 @@ def _resilience_teardown(strict: bool) -> int:
     return 1 if strict else 0
 
 
-def _cache_setup(args) -> bool:
-    """Install the content-addressed result store if ``--cache`` asked.
+def _resolve_store_dir(args) -> Optional[str]:
+    """The result store directory named by ``--cache`` or ``--checkpoint``.
+
+    A checkpoint is the result store, so when both flags are given they
+    must name the same directory.
+    """
+    cache_dir = getattr(args, "cache", None)
+    ckpt = getattr(args, "checkpoint", None)
+    if cache_dir and ckpt and os.path.realpath(cache_dir) != os.path.realpath(ckpt):
+        print(
+            "error: --cache and --checkpoint name different directories; "
+            "a checkpoint is kept in the result store, so give one directory",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    return cache_dir or ckpt
+
+
+def _cache_setup(cache_dir: Optional[str]) -> bool:
+    """Install the content-addressed result store at *cache_dir*, if any.
 
     Also exports ``QSM_CACHE`` so ``--jobs N`` workers under the spawn
     start method come up knowing the store (fork workers never consult
     it — partitioning happens in the parent — but the env var keeps the
     idiom uniform with QSM_OBS/QSM_FAULTS).
     """
-    cache_dir = getattr(args, "cache", None)
     if not cache_dir:
         return False
     from repro import store
@@ -687,11 +705,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     models = _resolve_models_arg(args)
     topology = _resolve_topology_arg(args)
+    store_dir = _resolve_store_dir(args)
     observing = _obs_setup(args)
     sanitizing = _sanitize_setup(args)
     faulting = _faults_setup(args)
     syncing = _sync_path_setup(args)
-    caching = _cache_setup(args)
+    caching = _cache_setup(store_dir)
     resilient = _resilience_setup(args)
     strict = bool(getattr(args, "strict", False))
 

@@ -1,9 +1,9 @@
 """``repro.store`` — content-addressed memoization of sweep points.
 
-The resilient executor's checkpoint journal (PR 5) proved that every
-sweep point replays byte-identically from a pickled capture; this
-package promotes that from crash recovery to a first-class result
-cache:
+Every sweep point replays byte-identically from a pickled capture
+(result plus obs/sanitizer/fault side state), so one store serves as
+both the result cache and the checkpoint an interrupted sweep resumes
+from:
 
 * :mod:`repro.store.keys` — canonical, version-salted point keys (a
   stable structural digest of the task tuple + the armed fault plan,
@@ -14,11 +14,12 @@ cache:
   in-flight points are computed once.
 
 Like ``repro.obs``/``repro.check``/``repro.faults``, activation is a
-process-global switch: :func:`set_store` (the CLI ``--cache DIR`` flag,
-the ``serve`` subcommand, or ``QSM_CACHE=DIR`` in the environment)
-installs a store, and :func:`repro.experiments.executor.parallel_map`
-then partitions every task list into cached vs novel points — a second
-identical sweep executes **zero** simulator points.  Hit/miss/
+process-global switch: :func:`set_store` (the CLI ``--cache DIR`` or
+``--checkpoint DIR`` flag, the ``serve`` subcommand, or
+``QSM_CACHE=DIR`` in the environment) installs a store, and
+:func:`repro.experiments.executor.parallel_map` then partitions every
+task list into cached vs novel points — a second identical sweep
+executes **zero** simulator points.  Hit/miss/
 coalesced/in-flight counters are kept here (:func:`counters`) and
 mirrored into :mod:`repro.obs` as ``store.*`` counters whenever
 observability is enabled; :func:`set_listener` streams per-point
@@ -38,7 +39,6 @@ from repro.store.keys import (
     digest,
     point_key,
     request_key,
-    task_digest,
 )
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "digest",
     "point_key",
     "request_key",
-    "task_digest",
     "set_store",
     "clear_store",
     "active_store",

@@ -16,8 +16,8 @@ and overwrites it.
 
 The store is deliberately dumb about *what* it holds: the executor
 stores ``(result, obs payload, sanitizer diagnostics, fault tally)``
-capture tuples (the same shape the checkpoint journal pickles), but the
-blob layer only sees bytes.
+capture tuples, and ``--checkpoint DIR`` resumes from those same
+objects, but the blob layer only sees bytes.
 """
 
 from __future__ import annotations

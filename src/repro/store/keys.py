@@ -5,14 +5,13 @@ tuple — (machine config, algorithm worker, n, run seed) — plus the
 process-global fault plan.  :func:`point_key` turns that tuple into a
 stable 64-hex SHA-256 key suitable for a content-addressed store:
 
-* **canonical structure, not pickle/repr** — the old executor
-  ``_task_key`` hashed ``repr(task)``, which is not stable across
-  interpreter versions (dict ordering, float repr churn, numpy
-  truncation).  :func:`canonical` instead lowers a value to a nested
-  JSON-serialisable structure: dataclasses become ``(qualified name,
-  sorted field items)``, floats become their exact ``float.hex()``
-  form, sets are sorted, ndarrays become ``(dtype, shape, content
-  sha256)``;
+* **canonical structure, not pickle/repr** — ``repr(task)`` is not
+  stable across interpreter versions (dict ordering, float repr churn,
+  numpy truncation), so :func:`canonical` instead lowers a value to a
+  nested JSON-serialisable structure: dataclasses become ``(qualified
+  name, sorted field items)``, floats become their exact
+  ``float.hex()`` form, sets are sorted, ndarrays become ``(dtype,
+  shape, content sha256)``;
 * **version salt** — :data:`STORE_VERSION` is mixed into every key, so
   bumping it (whenever simulator semantics change in a way the goldens
   don't already catch) invalidates the whole store at once without
@@ -42,7 +41,6 @@ __all__ = [
     "digest",
     "point_key",
     "request_key",
-    "task_digest",
 ]
 
 #: Salt mixed into every point/request key.  Bump when the simulator's
@@ -147,12 +145,3 @@ def request_key(payload: Any, version: Optional[int] = None) -> str:
         ]
     )
 
-
-def task_digest(task: Any) -> str:
-    """Short canonical task identity for the checkpoint journal.
-
-    Deliberately *not* salted with :data:`STORE_VERSION`: the journal
-    is crash recovery for a single command, so its keys only need to be
-    stable across interpreter versions, not invalidate with the store.
-    """
-    return digest(["qsm-task", canonical(task)])[:16]

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import operator
 
+import numpy as np
 import pytest
 
 from repro.experiments.executor import effective_jobs, parallel_map
@@ -49,6 +50,53 @@ def test_parallel_map_preserves_order():
 
 def test_parallel_map_empty():
     assert parallel_map(operator.neg, [], jobs=4) == []
+
+
+def _array_task(task):
+    """Worker returning a numpy-heavy payload (two 40k-element arrays)."""
+    seed, n = task
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**62, size=n)
+    return {"seed": seed, "values": values, "histogram": np.sort(values % 97)}
+
+
+def test_pool_results_byte_identical_to_sequential():
+    tasks = [(s, 40_000) for s in range(6)]
+    sequential = parallel_map(_array_task, tasks, jobs=1)
+    parallel = parallel_map(_array_task, tasks, jobs=4)
+    assert len(parallel) == len(sequential)
+    for seq, par in zip(sequential, parallel):
+        assert par["seed"] == seq["seed"]
+        for key in ("values", "histogram"):
+            assert par[key].dtype == seq[key].dtype
+            assert par[key].tobytes() == seq[key].tobytes()
+
+
+def _samplesort_point(task):
+    """Module-level (picklable) sweep point returning arrays + cycles."""
+    from repro.algorithms.samplesort import run_sample_sort
+    from repro.qsmlib.program import RunConfig
+
+    machine, n, seed = task
+    rng = np.random.default_rng(seed)
+    out = run_sample_sort(
+        rng.integers(0, 2**62, size=n),
+        RunConfig(machine=machine, seed=seed, check_semantics=False),
+    )
+    return out.run.comm_cycles, out.result
+
+
+def test_sweep_results_independent_of_jobs():
+    """End to end: a real sample-sort sweep point grid returns identical
+    RunResult-bearing payloads under jobs 1 and 4."""
+    machine = MachineConfig(p=8)
+    tasks = [(machine, 6000, s) for s in (1, 2, 3, 4)]
+
+    def run(jobs):
+        results = parallel_map(_samplesort_point, tasks, jobs=jobs)
+        return [(comm, res.tobytes()) for comm, res in results]
+
+    assert run(4) == run(1)
 
 
 def test_sweep_identical_across_job_counts():

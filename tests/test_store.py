@@ -19,7 +19,6 @@ from repro.store import (
     digest,
     point_key,
     request_key,
-    task_digest,
 )
 
 
@@ -88,11 +87,6 @@ class TestPointKey:
         a = request_key({"experiment": "fig1", "models": ["qsm-best"]})
         b = request_key({"experiment": "fig1", "models": ["bsp-whp"]})
         assert a != b
-
-    def test_task_digest_short_and_unsalted(self):
-        key = task_digest((4096, MachineConfig(p=4)))
-        assert len(key) == 16 and int(key, 16) >= 0
-        assert key == task_digest((4096, MachineConfig(p=4)))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ hit/miss/coalesced counters surface through repro.store and repro.obs;
 key invalidation covers the version salt and the armed fault plan.
 """
 
-import json
 import os
 import pickle
 
@@ -176,24 +175,3 @@ class TestInvalidation:
         assert a != b
         assert a == c  # jobs never changes identity
 
-
-class TestJournalCompat:
-    def test_legacy_repr_keys_still_resume(self, cache, count_file, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        store.clear_store()  # journal semantics, not cache semantics
-        executor.set_policy(ExecutionPolicy(checkpoint_dir=str(ckpt)))
-        first = parallel_map(_counted_square, [1, 2, 3], jobs=1)
-        ran = _executions()
-        journal = next(ckpt.glob("*.jsonl"))
-        # Rewrite the journal as an old build would have written it:
-        # repr-hash keys instead of canonical digests.
-        lines = []
-        for line in journal.read_text().splitlines():
-            rec = json.loads(line)
-            rec["key"] = executor._legacy_task_key([1, 2, 3][rec["index"]])
-            lines.append(json.dumps(rec, sort_keys=True))
-        journal.write_text("\n".join(lines) + "\n")
-        executor.set_policy(ExecutionPolicy(checkpoint_dir=str(ckpt)))
-        second = parallel_map(_counted_square, [1, 2, 3], jobs=1)
-        assert second == first
-        assert _executions() == ran  # replayed via the legacy fallback
