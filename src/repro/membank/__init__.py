@@ -5,10 +5,11 @@ betting that randomised data layout keeps it tolerable.  The paper
 tests that bet with a stress microbenchmark on four real platforms; we
 rebuild the experiment as a closed-loop queueing simulation:
 
-* **banks** are FCFS servers with a fixed service time;
-* **interconnects** model how an access reaches a bank — a
-  split-transaction snooping bus (SMP), TCP over shared 10 Mb/s
-  Ethernet (NOW), or a 3-D torus with per-hop latency (Cray T3E);
+* **banks** are single-slot FCFS servers with a fixed service time;
+* **interconnects** describe how an access reaches a bank as a tuple
+  of delay and hold stages — a split-transaction snooping bus (SMP),
+  TCP over shared 10 Mb/s Ethernet (NOW), or a 3-D torus with per-hop
+  latency (Cray T3E);
 * **software layers** add per-access overhead (native hardware
   coherence vs. BSPlib level-1/level-2);
 * **patterns** choose the target bank: ``RANDOM`` (the layout QSM's
@@ -16,14 +17,15 @@ rebuild the experiment as a closed-loop queueing simulation:
   an unmitigated hot spot), ``NOCONFLICT`` (processor *i* owns bank
   ``i+1`` — the hand-placed ideal).
 
-:func:`~repro.membank.microbench.run_microbenchmark` reports the mean
-remote access time, reproducing Figure 7's qualitative result:
+:func:`~repro.membank.microbench.run_microbenchmark` replays every
+processor's accesses in one flat event heap
+(:func:`~repro.membank.kernel.replay`) and reports the mean remote
+access time, reproducing Figure 7's qualitative result:
 NoConflict ≤ Random ≪ Conflict, with Random within tens of percent of
 NoConflict and Conflict a factor 2–4 worse.
 """
 
 from repro.membank.analytic import AnalyticAccessModel
-from repro.membank.banks import BankArray
 from repro.membank.interconnect import (
     BusInterconnect,
     EthernetInterconnect,
@@ -44,7 +46,6 @@ from repro.membank.microbench import MicrobenchResult, run_microbenchmark
 
 __all__ = [
     "AnalyticAccessModel",
-    "BankArray",
     "Interconnect",
     "BusInterconnect",
     "EthernetInterconnect",

@@ -13,9 +13,10 @@ give the mean access time per pattern without simulation:
   style fixed point ``T = path + ρ·s / (2(1−ρ))`` with per-bank
   utilisation ``ρ = (p/b)·s/T``.
 
-These are the formulas the DES is validated against in the test suite
-(the DES remains the source of truth for Figure 7 — it also captures
-bus/link contention the closed forms fold into tolerance).
+The test suite checks these formulas against the simulated
+microbenchmark (:func:`~repro.membank.microbench.run_microbenchmark`),
+which stays the source of truth for Figure 7: it also captures the
+bus/link contention the closed forms fold into tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.membank.interconnect import (
     TorusInterconnect,
 )
 from repro.membank.patterns import AccessPattern
-from repro.sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,18 @@ class AnalyticAccessModel:
 
     @classmethod
     def for_machine(cls, config: MemoryMachineConfig) -> "AnalyticAccessModel":
-        """Derive the uncontended round-trip from the interconnect model
-        by timing a single solo access in a throwaway simulator."""
-        sim = Simulator()
-        interconnect = config.make_interconnect(sim)
-
-        def solo():
-            yield from interconnect.request_path(0, 1 % config.n_banks)
-            yield from interconnect.response_path(0, 1 % config.n_banks)
-
-        sim.run_process(solo())
+        """Derive the uncontended round trip from the interconnect model:
+        the stage cycles of one solo access's request and reply, added
+        up in order (as a lone access's clock advances)."""
+        interconnect = config.make_interconnect()
+        bank = 1 % config.n_banks
+        cycles = 0
+        for _resource, stage_cycles in interconnect.trip(0, bank) + interconnect.trip(bank, 0):
+            cycles += stage_cycles
         shared_cycles, shared_capacity = interconnect.per_access_global_occupancy()
         return cls(
             config=config,
-            interconnect_cycles=sim.now,
+            interconnect_cycles=cycles,
             target_occupancy_cycles=interconnect.per_access_target_occupancy(),
             global_occupancy_cycles=shared_cycles,
             global_capacity=shared_capacity,

@@ -1,31 +1,31 @@
 """Interconnect models between processors and memory banks.
 
-Each model is a pair of generator methods — :meth:`request_path` and
-:meth:`response_path` — run inside an accessing processor's simulation
-process.  They charge the medium-specific delays and contend for any
-shared medium (bus, Ethernet segment).
+Each model describes how one message crosses the medium from node
+``src`` to node ``dst`` as a tuple of stages (:meth:`Interconnect.trip`)
+that the microbenchmark kernel (:mod:`repro.membank.kernel`) replays: a
+fixed delay ``(DELAY, cycles)``, or ``(r, cycles)`` to acquire, hold and
+release FCFS resource ``r`` — a shared medium such as a bus or an
+Ethernet link, with :attr:`Interconnect.capacities` ``[r]`` slots.  An
+access runs ``trip(pid, bank)`` to the bank and ``trip(bank, pid)``
+back.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Tuple
 
-from repro.sim import Resource, Simulator
+from repro.membank.kernel import DELAY, Stage
 
 
 class Interconnect:
     """Base class; subclasses model one medium."""
 
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
+    #: Slots of each FCFS resource the stages name, by index.
+    capacities: Tuple[int, ...] = ()
 
-    def request_path(self, pid: int, bank: int):  # pragma: no cover - abstract
+    def trip(self, src: int, dst: int) -> Tuple[Stage, ...]:  # pragma: no cover - abstract
+        """The stages of one message from node *src* to node *dst*."""
         raise NotImplementedError
-        yield
-
-    def response_path(self, pid: int, bank: int):  # pragma: no cover - abstract
-        raise NotImplementedError
-        yield
 
     def per_access_target_occupancy(self) -> float:
         """Exclusive time one access holds a *target-node-local* shared
@@ -48,66 +48,62 @@ class BusInterconnect(Interconnect):
     pipelined/split bus that overlaps transactions.
     """
 
-    def __init__(self, sim: Simulator, occupancy_cycles: float, width: int = 2) -> None:
-        super().__init__(sim)
+    def __init__(self, occupancy_cycles: float, width: int = 2) -> None:
         if occupancy_cycles <= 0:
             raise ValueError("bus occupancy must be positive")
+        if width < 1:
+            raise ValueError(f"bus width must be >= 1, got {width}")
         self.occupancy_cycles = occupancy_cycles
-        self.bus = Resource(sim, capacity=width, name="bus")
+        self.width = width
+        self.capacities = (width,)
+        self._trip = ((0, occupancy_cycles),)
 
-    def request_path(self, pid: int, bank: int):
-        yield from self.bus.serve(self.occupancy_cycles)
-
-    def response_path(self, pid: int, bank: int):
-        yield from self.bus.serve(self.occupancy_cycles)
+    def trip(self, src: int, dst: int) -> Tuple[Stage, ...]:
+        return self._trip
 
     def per_access_global_occupancy(self) -> tuple:
         # Two bus grants per access (address + data return) on a bus
         # with `width` concurrent transactions.
-        return (2.0 * self.occupancy_cycles, self.bus.capacity)
+        return (2.0 * self.occupancy_cycles, self.width)
 
 
 class EthernetInterconnect(Interconnect):
     """TCP over 10 Mb/s switched Ethernet (the NOW cluster).
 
-    Every node has an ingress and an egress link; a frame occupies the
-    sender's egress and the receiver's ingress for its serialisation
-    time (frame bits / 10 Mb/s, in CPU cycles) and each endpoint pays
-    protocol-stack cycles.  Contention therefore concentrates on the
-    *serving node's ingress link* when all processors target one node —
-    the cluster's analogue of a bank conflict.
+    Every node has an egress link (resource ``i``) and an ingress link
+    (resource ``n_nodes + i``); a frame occupies the sender's egress and
+    the receiver's ingress for its serialisation time (frame bits /
+    10 Mb/s, in CPU cycles) and each endpoint pays protocol-stack
+    cycles.  Contention therefore concentrates on the *serving node's
+    ingress link* when all processors target one node — the cluster's
+    analogue of a bank conflict.
     """
 
     def __init__(
         self,
-        sim: Simulator,
         n_nodes: int,
         frame_cycles: float,
         stack_cycles: float,
         propagation_cycles: float = 0.0,
     ) -> None:
-        super().__init__(sim)
         if n_nodes < 1 or frame_cycles <= 0 or stack_cycles < 0 or propagation_cycles < 0:
             raise ValueError("invalid Ethernet timing parameters")
         self.n_nodes = n_nodes
         self.frame_cycles = frame_cycles
         self.stack_cycles = stack_cycles
         self.propagation_cycles = propagation_cycles
-        self.egress = [Resource(sim, capacity=1, name=f"eth{i}.out") for i in range(n_nodes)]
-        self.ingress = [Resource(sim, capacity=1, name=f"eth{i}.in") for i in range(n_nodes)]
+        self.capacities = (1,) * (2 * n_nodes)
 
-    def _one_way(self, src: int, dst: int):
-        yield self.sim.timeout(self.stack_cycles)
-        yield from self.egress[src % self.n_nodes].serve(self.frame_cycles)
-        yield from self.ingress[dst % self.n_nodes].serve(self.frame_cycles)
+    def trip(self, src: int, dst: int) -> Tuple[Stage, ...]:
+        n = self.n_nodes
+        stages = (
+            (DELAY, self.stack_cycles),
+            (src % n, self.frame_cycles),
+            (n + dst % n, self.frame_cycles),
+        )
         if self.propagation_cycles:
-            yield self.sim.timeout(self.propagation_cycles)
-
-    def request_path(self, pid: int, bank: int):
-        yield from self._one_way(pid, bank)
-
-    def response_path(self, pid: int, bank: int):
-        yield from self._one_way(bank, pid)
+            stages += ((DELAY, self.propagation_cycles),)
+        return stages
 
     def per_access_target_occupancy(self) -> float:
         # Each access serialises one request frame on the target's
@@ -124,8 +120,7 @@ class TorusInterconnect(Interconnect):
     hop count is the average for a 3-D torus of ``n_nodes``.
     """
 
-    def __init__(self, sim: Simulator, n_nodes: int, hop_cycles: float, inject_cycles: float) -> None:
-        super().__init__(sim)
+    def __init__(self, n_nodes: int, hop_cycles: float, inject_cycles: float) -> None:
         if n_nodes < 1 or hop_cycles < 0 or inject_cycles < 0:
             raise ValueError("invalid torus parameters")
         self.n_nodes = n_nodes
@@ -135,12 +130,7 @@ class TorusInterconnect(Interconnect):
         # Average distance per dimension on a ring of length `side` is
         # ~side/4; three dimensions.
         self.avg_hops = max(1.0, 3.0 * side / 4.0)
+        self._trip = ((DELAY, inject_cycles + self.avg_hops * hop_cycles),)
 
-    def _one_way(self):
-        yield self.sim.timeout(self.inject_cycles + self.avg_hops * self.hop_cycles)
-
-    def request_path(self, pid: int, bank: int):
-        yield from self._one_way()
-
-    def response_path(self, pid: int, bank: int):
-        yield from self._one_way()
+    def trip(self, src: int, dst: int) -> Tuple[Stage, ...]:
+        return self._trip

@@ -22,7 +22,6 @@ from repro.membank.interconnect import (
     Interconnect,
     TorusInterconnect,
 )
-from repro.sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ class MemoryMachineConfig:
     #: Per-access software overhead at the accessing processor
     #: (0 for hardware shared memory; large for BSPlib/TCP layers).
     software_cycles: float
-    #: Factory building the interconnect inside a fresh simulator.
-    make_interconnect: Callable[[Simulator], Interconnect] = field(compare=False)
+    #: Factory building the interconnect description.
+    make_interconnect: Callable[[], Interconnect] = field(compare=False)
     #: Processor clock, for reporting in microseconds.
     clock_hz: float = 166e6
 
@@ -51,6 +50,8 @@ class MemoryMachineConfig:
             raise ValueError("bank service time must be positive")
         if self.software_cycles < 0:
             raise ValueError("software overhead must be >= 0")
+        if not self.clock_hz > 0:
+            raise ValueError(f"clock_hz must be positive, got {self.clock_hz!r}")
 
     def cycles_to_us(self, cycles: float) -> float:
         return cycles / self.clock_hz * 1e6
@@ -69,7 +70,7 @@ def smp_native(p: int = 8) -> MemoryMachineConfig:
         n_banks=8,
         bank_service_cycles=15.0,
         software_cycles=0.0,
-        make_interconnect=lambda sim: BusInterconnect(sim, occupancy_cycles=4.0, width=2),
+        make_interconnect=lambda: BusInterconnect(occupancy_cycles=4.0, width=2),
     )
 
 
@@ -86,7 +87,7 @@ def smp_bsplib_l2(p: int = 8) -> MemoryMachineConfig:
         n_banks=base.n_banks,
         bank_service_cycles=base.bank_service_cycles,
         software_cycles=85.0,
-        make_interconnect=lambda sim: BusInterconnect(sim, occupancy_cycles=4.0, width=2),
+        make_interconnect=lambda: BusInterconnect(occupancy_cycles=4.0, width=2),
     )
 
 
@@ -99,7 +100,7 @@ def smp_bsplib_l1(p: int = 8) -> MemoryMachineConfig:
         n_banks=base.n_banks,
         bank_service_cycles=base.bank_service_cycles,
         software_cycles=340.0,
-        make_interconnect=lambda sim: BusInterconnect(sim, occupancy_cycles=4.0, width=2),
+        make_interconnect=lambda: BusInterconnect(occupancy_cycles=4.0, width=2),
     )
 
 
@@ -118,8 +119,8 @@ def now_bsplib(p: int = 16) -> MemoryMachineConfig:
         n_banks=p,
         bank_service_cycles=5000.0,
         software_cycles=10000.0,
-        make_interconnect=lambda sim: EthernetInterconnect(
-            sim, n_nodes=p, frame_cycles=17000.0, stack_cycles=10000.0
+        make_interconnect=lambda: EthernetInterconnect(
+            n_nodes=p, frame_cycles=17000.0, stack_cycles=10000.0
         ),
     )
 
@@ -137,8 +138,8 @@ def cray_t3e(p: int = 32) -> MemoryMachineConfig:
         n_banks=p,
         bank_service_cycles=13.0,
         software_cycles=12.0,
-        make_interconnect=lambda sim: TorusInterconnect(
-            sim, n_nodes=p, hop_cycles=9.0, inject_cycles=18.0
+        make_interconnect=lambda: TorusInterconnect(
+            n_nodes=p, hop_cycles=9.0, inject_cycles=18.0
         ),
         clock_hz=450e6,
     )

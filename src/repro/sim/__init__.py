@@ -11,9 +11,10 @@ style of SimPy, specialised for this reproduction:
 * processes are plain Python generators that ``yield`` :class:`Event`
   objects (timeouts, resource grants, store gets, other processes).
 
-The multiprocessor network model (:mod:`repro.machine.network`), the
-message-passing layer (:mod:`repro.msg`) and the memory-bank contention
-simulator (:mod:`repro.membank`) are all built on this kernel.
+The multiprocessor network model (:mod:`repro.machine.network`) and the
+message-passing layer (:mod:`repro.msg`) are built on this kernel.  The
+memory-bank microbenchmark (:mod:`repro.membank`) replays its
+processes in a flat heap that breaks ties the same way.
 """
 
 from repro.sim.engine import Simulator, SimulationError

@@ -1,12 +1,15 @@
 """Tests for the §4 memory-bank contention simulator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.membank import (
-    BankArray,
+    AccessPattern,
     CONFLICT,
     MEMBANK_MACHINES,
+    MemoryMachineConfig,
     NOCONFLICT,
     RANDOM,
     cray_t3e,
@@ -16,59 +19,69 @@ from repro.membank import (
     smp_bsplib_l2,
     smp_native,
 )
+from repro.membank import microbench
 from repro.membank.interconnect import BusInterconnect, EthernetInterconnect, TorusInterconnect
+from repro.membank.kernel import DELAY, replay
 from repro.membank.microbench import pattern_sweep
-from repro.sim import Simulator
+
+
+def _machine(p=1, n_banks=4, service_cycles=10.0, **kwargs):
+    """A tiny machine on an interconnect that costs nothing."""
+    free = TorusInterconnect(n_nodes=1, hop_cycles=0.0, inject_cycles=0.0)
+    return MemoryMachineConfig(
+        name="tiny",
+        p=p,
+        n_banks=n_banks,
+        bank_service_cycles=service_cycles,
+        software_cycles=0.0,
+        make_interconnect=lambda: free,
+        **kwargs,
+    )
+
+
+def _always(bank):
+    return AccessPattern(f"bank{bank}", lambda rng, pid, n_banks, count: np.full(count, bank))
 
 
 # ---------------------------------------------------------------------------
-# Banks
+# Banks (single-slot resources in the kernel)
 # ---------------------------------------------------------------------------
-def test_bank_array_validation(sim):
+def test_bank_array_validation():
     with pytest.raises(ValueError):
-        BankArray(sim, 0, 10.0)
+        _machine(n_banks=0)
     with pytest.raises(ValueError):
-        BankArray(sim, 4, 0.0)
-    banks = BankArray(sim, 4, 10.0)
+        _machine(n_banks=4, service_cycles=0.0)
     with pytest.raises(ValueError):
-        next(banks.access(7))
+        run_microbenchmark(_machine(n_banks=4), _always(7), accesses_per_proc=1)
 
 
-def test_bank_serializes_accesses(sim):
-    banks = BankArray(sim, 2, service_cycles=10.0)
-
-    def proc():
-        yield from banks.access(0)
-
-    for _ in range(4):
-        sim.process(proc())
-    sim.run()
-    assert sim.now == 40.0  # fully serialised at bank 0
+@pytest.mark.parametrize("bank", [-1, 4])
+def test_out_of_range_bank_rejected_before_simulating(bank):
+    with mock.patch.object(microbench, "replay", side_effect=AssertionError("simulated")):
+        with pytest.raises(ValueError, match="out of range"):
+            run_microbenchmark(_machine(n_banks=4), _always(bank), accesses_per_proc=3)
 
 
-def test_distinct_banks_parallel(sim):
-    banks = BankArray(sim, 4, service_cycles=10.0)
-
-    def proc(b):
-        yield from banks.access(b)
-
-    for b in range(4):
-        sim.process(proc(b))
-    sim.run()
-    assert sim.now == 10.0
+@pytest.mark.parametrize("clock_hz", [0.0, -166e6])
+def test_clock_must_be_positive(clock_hz):
+    with pytest.raises(ValueError, match="clock_hz"):
+        _machine(clock_hz=clock_hz)
 
 
-def test_bank_utilization(sim):
-    banks = BankArray(sim, 2, service_cycles=10.0)
+def test_bank_serializes_accesses():
+    run = replay((1, 1), [[((0, 10.0),)]] * 4)
+    assert run.now == 40.0  # fully serialised at bank 0
 
-    def proc():
-        yield from banks.access(0)
-        yield sim.timeout(10)
 
-    sim.process(proc())
-    sim.run()
-    assert banks.utilization(0) == pytest.approx(0.5)
-    assert banks.utilization(1) == 0.0
+def test_distinct_banks_parallel():
+    run = replay((1,) * 4, [[((b, 10.0),)] for b in range(4)])
+    assert run.now == 10.0
+
+
+def test_bank_utilization():
+    run = replay((1, 1), [[((0, 10.0), (DELAY, 10))]])
+    assert run.utilization(0) == pytest.approx(0.5)
+    assert run.utilization(1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -92,48 +105,33 @@ def test_random_spreads(rng):
 # ---------------------------------------------------------------------------
 # Interconnects
 # ---------------------------------------------------------------------------
-def test_bus_contention(sim):
-    bus = BusInterconnect(sim, occupancy_cycles=10.0, width=1)
-
-    def proc():
-        yield from bus.request_path(0, 0)
-
-    for _ in range(3):
-        sim.process(proc())
-    sim.run()
-    assert sim.now == 30.0
+def test_bus_contention():
+    bus = BusInterconnect(occupancy_cycles=10.0, width=1)
+    run = replay(bus.capacities, [[bus.trip(0, 0)]] * 3)
+    assert run.now == 30.0
 
 
 def test_ethernet_ingress_is_the_hot_spot():
-    sim = Simulator()
-    eth = EthernetInterconnect(sim, n_nodes=4, frame_cycles=100.0, stack_cycles=0.0)
-
-    def proc(src):
-        yield from eth.request_path(src, 0)
-
-    for src in range(1, 4):
-        sim.process(proc(src))
-    sim.run()
+    eth = EthernetInterconnect(n_nodes=4, frame_cycles=100.0, stack_cycles=0.0)
+    run = replay(eth.capacities, [[eth.trip(src, 0)] for src in range(1, 4)])
     # egress links run in parallel (100), then three frames serialise on
     # node 0's ingress link (300)
-    assert sim.now == pytest.approx(400.0, rel=0.01)
+    assert run.now == pytest.approx(400.0, rel=0.01)
 
 
 def test_torus_hops_scale_with_size():
-    sim = Simulator()
-    small = TorusInterconnect(sim, n_nodes=8, hop_cycles=10.0, inject_cycles=0.0)
-    large = TorusInterconnect(sim, n_nodes=512, hop_cycles=10.0, inject_cycles=0.0)
+    small = TorusInterconnect(n_nodes=8, hop_cycles=10.0, inject_cycles=0.0)
+    large = TorusInterconnect(n_nodes=512, hop_cycles=10.0, inject_cycles=0.0)
     assert large.avg_hops > small.avg_hops
 
 
 def test_interconnect_validation():
-    sim = Simulator()
     with pytest.raises(ValueError):
-        BusInterconnect(sim, occupancy_cycles=0.0)
+        BusInterconnect(occupancy_cycles=0.0)
     with pytest.raises(ValueError):
-        EthernetInterconnect(sim, n_nodes=0, frame_cycles=1.0, stack_cycles=0.0)
+        EthernetInterconnect(n_nodes=0, frame_cycles=1.0, stack_cycles=0.0)
     with pytest.raises(ValueError):
-        TorusInterconnect(sim, n_nodes=4, hop_cycles=-1.0, inject_cycles=0.0)
+        TorusInterconnect(n_nodes=4, hop_cycles=-1.0, inject_cycles=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +157,8 @@ def test_microbench_validation():
         run_microbenchmark(smp_native(), RANDOM, accesses_per_proc=0)
     with pytest.raises(ValueError):
         run_microbenchmark(smp_native(), RANDOM, accesses_per_proc=10, warmup=10)
+    with pytest.raises(ValueError):
+        run_microbenchmark(smp_native(), RANDOM, accesses_per_proc=10, warmup=-1)
 
 
 def test_microbench_deterministic():

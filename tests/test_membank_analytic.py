@@ -1,4 +1,4 @@
-"""Cross-validation of the analytic membank queueing model vs. the DES."""
+"""Cross-validation of the analytic membank queueing model vs. the simulation."""
 
 import pytest
 
@@ -20,6 +20,23 @@ def test_analytic_matches_des_within_10pct(factory_name, pattern):
     model = AnalyticAccessModel.for_machine(cfg)
     des = run_microbenchmark(cfg, pattern, accesses_per_proc=800).mean_access_cycles
     assert model.predict(pattern) == pytest.approx(des, rel=0.10), factory_name
+
+
+@pytest.mark.parametrize(
+    "factory_name, cycles",
+    [
+        ("SMP-NATIVE", 8.0),
+        ("SMP-BSPlib-L2", 8.0),
+        ("SMP-BSPlib-L1", 8.0),
+        ("NOW-BSPlib", 88000.0),
+        ("Cray-T3E", 76.5),
+    ],
+)
+def test_interconnect_cycles_pinned(factory_name, cycles):
+    """The solo round trip, summed from the stages, is what the
+    generator-process model timed."""
+    model = AnalyticAccessModel.for_machine(MEMBANK_MACHINES[factory_name]())
+    assert model.interconnect_cycles == cycles
 
 
 def test_path_decomposition():
