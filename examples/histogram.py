@@ -18,7 +18,7 @@ Run:  python examples/histogram.py
 
 import numpy as np
 
-from repro.core.estimators import qsm_comm_estimate
+from repro.predict import PhaseProfile, qsm_comm_cycles
 from repro.qsmlib import AllShareBoard, QSMMachine, RunConfig
 
 
@@ -86,7 +86,7 @@ def main() -> None:
     combine = run.phases[1]
     print(f"combine step: {combine.max_put_words} remote words per processor "
           f"(k − k/p histogram slots + the shared total)")
-    est = qsm_comm_estimate(run, qm.cost_model())
+    est = qsm_comm_cycles(PhaseProfile.from_run(run), qm.cost_model())
     print(f"QSM communication estimate: {est:,.0f} cycles "
           f"({est / run.comm_cycles:.0%} of measured — the rest is the "
           f"per-phase sync floor)")

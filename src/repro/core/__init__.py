@@ -1,28 +1,22 @@
-"""The paper's primary contribution: QSM cost modelling and prediction.
+"""Model-side primitives the prediction engine and extensions build on.
 
-* :mod:`repro.core.params` — parameter sets of the four models the
-  paper discusses (QSM, s-QSM, BSP, LogP; §2.1 and Table 1);
-* :mod:`repro.core.models` — phase/superstep cost evaluation for each
-  model, usable on abstract op counts or on measured
-  :class:`~repro.qsmlib.stats.PhaseRecord` logs;
 * :mod:`repro.core.chernoff` — binomial tail machinery behind every
   *WHP bound* line (90% confidence, union bound over processors);
-* :mod:`repro.core.estimators` — generic QSM/BSP communication
-  estimates computed from a run's observed per-phase word counts.
+* :mod:`repro.core.params` — the BSP parameter set ``(p, g, L)``;
+* :mod:`repro.core.emulation` — the cost of emulating a QSM program
+  on a BSP machine, and its work-preserving threshold;
+* :mod:`repro.core.pram` — unit-cost PRAM models, the §2.1 baseline.
 
-The closed-form Best-case, WHP-bound, QSM-estimate and BSP-estimate
-lines of Figures 1–3 live in :mod:`repro.predict` (the pluggable model
-engine built on these primitives).
+Every QSM, BSP and LogP price of a phase — the Best-case, WHP-bound,
+QSM-estimate and BSP-estimate lines of Figures 1–6 — comes from
+:mod:`repro.predict`, whose :class:`~repro.predict.profile.PhaseComm`
+is the one per-phase cost record.  The emulation and PRAM models read
+such phases by attribute (``m_op``, ``m_rw``, ``kappa``); this package
+does not import :mod:`repro.predict`, which imports
+:mod:`repro.core.chernoff`.
 """
 
-from repro.core.params import BSPParams, LogPParams, QSMParams, SQSMParams
-from repro.core.models import (
-    BSPModel,
-    LogPModel,
-    PhaseWork,
-    QSMModel,
-    SQSMModel,
-)
+from repro.core.params import BSPParams
 from repro.core.chernoff import (
     chernoff_binomial_lower,
     binomial_tail_inverse_exact,
@@ -30,7 +24,6 @@ from repro.core.chernoff import (
     chernoff_delta_upper,
     oversampling_bucket_bound,
 )
-from repro.core.estimators import bsp_comm_estimate, qsm_comm_estimate
 from repro.core.emulation import (
     EmulationParams,
     emulation_slowdown,
@@ -41,22 +34,12 @@ from repro.core.emulation import (
 from repro.core.pram import AccessRule, PRAMAccessError, PRAMModel, PRAMParams, pram_vs_qsm_phase_gap
 
 __all__ = [
-    "QSMParams",
-    "SQSMParams",
     "BSPParams",
-    "LogPParams",
-    "PhaseWork",
-    "QSMModel",
-    "SQSMModel",
-    "BSPModel",
-    "LogPModel",
     "chernoff_binomial_upper",
     "chernoff_binomial_lower",
     "chernoff_delta_upper",
     "binomial_tail_inverse_exact",
     "oversampling_bucket_bound",
-    "qsm_comm_estimate",
-    "bsp_comm_estimate",
     "EmulationParams",
     "emulation_slowdown",
     "qsm_phase_on_bsp",

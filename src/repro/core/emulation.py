@@ -20,15 +20,18 @@ The emulation is *work-preserving* (constant-factor efficient) exactly
 when the phase is large enough that ``L`` and the hash ballast are
 lower-order — which is the "input size sufficiently large" proviso that
 Section 3 then tests experimentally.
+
+A phase is anything with ``m_op``, ``m_rw`` and ``kappa`` attributes:
+a :class:`~repro.predict.profile.PhaseComm`, e.g. one phase of
+``PhaseProfile.from_run(run)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, Sequence
 
-from repro.core.models import PhaseWork
 from repro.core.params import BSPParams
 from repro.util.validation import check_positive
 
@@ -63,7 +66,7 @@ class EmulationParams:
         return self.p / self.p_prime
 
 
-def qsm_phase_on_bsp(work: PhaseWork, bsp: BSPParams, emu: EmulationParams) -> float:
+def qsm_phase_on_bsp(work, bsp: BSPParams, emu: EmulationParams) -> float:
     """BSP superstep time to emulate one QSM phase.
 
     ``w + g·h + L`` with ``w = slack·m_op`` and
@@ -74,16 +77,12 @@ def qsm_phase_on_bsp(work: PhaseWork, bsp: BSPParams, emu: EmulationParams) -> f
     return w + bsp.g * h + bsp.L
 
 
-def qsm_program_on_bsp(
-    phases: Iterable[PhaseWork], bsp: BSPParams, emu: EmulationParams
-) -> float:
+def qsm_program_on_bsp(phases: Iterable, bsp: BSPParams, emu: EmulationParams) -> float:
     """Total BSP time to emulate a QSM program phase by phase."""
     return sum(qsm_phase_on_bsp(w, bsp, emu) for w in phases)
 
 
-def emulation_slowdown(
-    phases: List[PhaseWork], bsp: BSPParams, emu: EmulationParams
-) -> float:
+def emulation_slowdown(phases: Sequence, bsp: BSPParams, emu: EmulationParams) -> float:
     """Emulated time over the ideal rescaled cost (1.0 = work-preserving).
 
     The ideal is the QSM program's own cost under the same ``g``, spread

@@ -1,10 +1,12 @@
-"""Parameter sets of the four parallel computation models (§2.1).
+"""The BSP parameter set (§2.1).
 
 The point of the paper is the *number* of parameters: QSM exposes only
 ``(p, g)``; BSP adds the superstep/synchronization cost ``L``; LogP
-adds per-message overhead ``o`` and replaces ``L`` with a latency ``l``
-and a capacity constraint.  These dataclasses carry the parameters and
-their documented meaning; :mod:`repro.core.models` evaluates costs.
+adds per-message overhead ``o`` and replaces ``L`` with a latency
+``l``.  The prediction models of :mod:`repro.predict.models` price all
+three from one :class:`~repro.qsmlib.costmodel.CommCostModel`; the
+explicit BSP triple remains here because the QSM-on-BSP emulation
+(:mod:`repro.core.emulation`) takes it as input.
 """
 
 from __future__ import annotations
@@ -12,40 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.util.validation import check_positive
-
-
-@dataclass(frozen=True)
-class QSMParams:
-    """Queuing Shared Memory: processors and the bandwidth gap only.
-
-    ``g`` is the ratio between the local instruction rate and the
-    remote communication rate, in whatever unit pair the analysis uses
-    (cycles per word here).  A phase doing at most ``m_op`` local
-    operations, ``m_rw`` remote reads/writes per processor and hitting
-    any one location at most ``kappa`` times costs
-    ``max(m_op, g·m_rw, kappa)``.
-    """
-
-    p: int
-    g: float
-
-    def __post_init__(self) -> None:
-        check_positive("p", self.p)
-        check_positive("g", self.g)
-
-
-@dataclass(frozen=True)
-class SQSMParams:
-    """Symmetric QSM: the gap also applies at memory, so a phase costs
-    ``max(m_op, g·m_rw, g·kappa)``.  The paper's measurements are
-    presented for the s-QSM (§3.1.1)."""
-
-    p: int
-    g: float
-
-    def __post_init__(self) -> None:
-        check_positive("p", self.p)
-        check_positive("g", self.g)
 
 
 @dataclass(frozen=True)
@@ -65,30 +33,3 @@ class BSPParams:
         check_positive("g", self.g)
         if self.L < 0:
             raise ValueError(f"L must be >= 0, got {self.L}")
-
-
-@dataclass(frozen=True)
-class LogPParams:
-    """LogP: latency ``l``, overhead ``o``, gap ``g``, processors ``p``.
-
-    ``g`` here is the minimum interval between consecutive message
-    injections (per message of the fixed small size); the capacity
-    constraint allows at most ``ceil(l/g)`` undelivered messages to any
-    destination.
-    """
-
-    p: int
-    l: float
-    o: float
-    g: float
-
-    def __post_init__(self) -> None:
-        check_positive("p", self.p)
-        check_positive("g", self.g)
-        if self.l < 0 or self.o < 0:
-            raise ValueError("l and o must be >= 0")
-
-    @property
-    def capacity(self) -> int:
-        """Maximum in-flight messages to one destination: ceil(l/g)."""
-        return max(1, -(-int(self.l) // max(int(self.g), 1)))

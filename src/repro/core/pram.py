@@ -17,6 +17,9 @@ measured ``kappa``:
 * ``EREW`` — exclusive read, exclusive write: kappa must be ≤ 1;
 * ``CREW`` — concurrent read, exclusive write: concurrent reads free;
 * ``CRCW`` — concurrent everything, unit time regardless of kappa.
+
+A phase is anything with ``m_op``, ``m_rw`` and ``kappa`` attributes,
+such as a :class:`~repro.predict.profile.PhaseComm`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.models import PhaseWork
 from repro.util.validation import check_positive
 
 
@@ -53,7 +55,7 @@ class PRAMParams:
 
 
 class PRAMModel:
-    """Unit-cost PRAM evaluation over :class:`PhaseWork` records.
+    """Unit-cost PRAM evaluation over per-phase records.
 
     A phase costs ``m_op + m_rw`` (every operation and every shared
     access is one unit; no gap, no latency, no barrier).  The access
@@ -63,7 +65,7 @@ class PRAMModel:
     def __init__(self, params: PRAMParams) -> None:
         self.params = params
 
-    def check_access(self, work: PhaseWork) -> None:
+    def check_access(self, work) -> None:
         if self.params.rule is AccessRule.CRCW:
             return
         if self.params.rule is AccessRule.EREW and work.kappa > 1:
@@ -71,13 +73,13 @@ class PRAMModel:
                 f"EREW PRAM forbids concurrent access (kappa={work.kappa:g})"
             )
         # CREW: we cannot distinguish read from write contention in a
-        # PhaseWork record; treat kappa as read contention (allowed).
+        # phase record; treat kappa as read contention (allowed).
 
-    def phase_cost(self, work: PhaseWork) -> float:
+    def phase_cost(self, work) -> float:
         self.check_access(work)
         return work.m_op + work.m_rw
 
-    def program_cost(self, phases: Iterable[PhaseWork]) -> float:
+    def program_cost(self, phases: Iterable) -> float:
         return sum(self.phase_cost(w) for w in phases)
 
 

@@ -1,7 +1,7 @@
 """Table 1: the QSM programmer/compiler contract (static rendering).
 
-Rendered from code so the documentation cannot drift from the model
-implementation in :mod:`repro.core`.
+``ROWS`` is a static list transcribing the paper's Table 1; no model
+code is read to produce it.
 """
 
 from __future__ import annotations

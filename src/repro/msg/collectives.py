@@ -1,25 +1,22 @@
-"""Tree collectives built from point-to-point messages.
+"""The binary-tree barrier's shape and closed-form cost.
 
 The shared-memory library's ``sync()`` ends every phase with a barrier;
 the paper measures the full software barrier at L ≈ 25500 cycles for 16
-processors (Table 3).  We implement the textbook binary-tree barrier
-(reduce up, broadcast down); its cost emerges from the NIC model
-(2 · depth · (2o + l + header·g) plus software per-hop cycles charged by
-the caller).
-
-All collectives here are *generators* meant to be ``yield from``-ed
-inside a per-node simulation process; every node of the machine must
-run the same collective with the same ``seq`` number or the simulation
-deadlocks (as real SPMD code would).
+processors (Table 3).  The library implements the textbook binary-tree
+barrier (reduce up, broadcast down) in
+:meth:`~repro.qsmlib.runtime.SyncEngine._barrier`, mirrored by the epoch
+kernel; both take the tree from :func:`_children`/:func:`_parent`.  Its
+cost emerges from the NIC model (2 · depth · (2o + l + header·g) plus
+software per-hop cycles); :func:`tree_barrier_cost_estimate` is that
+closed form, the BSP models' ``L``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, List, Optional, Sequence
+from typing import List
 
 from repro.machine.config import NetworkConfig
-from repro.msg.mp import Endpoint
 
 #: Size of a barrier/control hop on the wire, in bytes.
 CONTROL_BYTES = 8
@@ -32,73 +29,6 @@ def _children(pid: int, p: int) -> List[int]:
 
 def _parent(pid: int) -> int:
     return (pid - 1) // 2
-
-
-def barrier_proc(ep: Endpoint, p: int, seq: Any):
-    """One node's part of barrier number *seq* (binary-tree, 2 sweeps)."""
-    pid = ep.pid
-    if p == 1:
-        return
-    obs = ep.sim.obs
-    span = obs.begin("coll.barrier", pid, seq=str(seq)) if obs is not None else None
-    try:
-        up = ("bar", seq, "up")
-        down = ("bar", seq, "down")
-        for child in _children(pid, p):
-            yield from ep.recv(src=child, tag=up)
-        if pid != 0:
-            yield from ep.send(_parent(pid), up, CONTROL_BYTES)
-            yield from ep.recv(src=_parent(pid), tag=down)
-        for child in _children(pid, p):
-            yield from ep.send(child, down, CONTROL_BYTES)
-    finally:
-        if obs is not None:
-            obs.end(span)
-
-
-def broadcast_proc(ep: Endpoint, p: int, seq: Any, value: Any = None, nbytes: int = CONTROL_BYTES):
-    """Binary-tree broadcast from node 0; returns the broadcast value."""
-    pid = ep.pid
-    obs = ep.sim.obs
-    span = obs.begin("coll.broadcast", pid, seq=str(seq)) if obs is not None else None
-    try:
-        tag = ("bcast", seq)
-        if pid != 0:
-            msg = yield from ep.recv(src=_parent(pid), tag=tag)
-            value = msg.payload
-            nbytes = msg.nbytes
-        for child in _children(pid, p):
-            yield from ep.send(child, tag, nbytes, payload=value)
-        return value
-    finally:
-        if obs is not None:
-            obs.end(span)
-
-
-def gather_proc(ep: Endpoint, p: int, seq: Any, value: Any, nbytes: int = CONTROL_BYTES):
-    """Binary-tree gather to node 0; node 0 returns the list indexed by pid.
-
-    Intermediate nodes combine their subtree's contributions, so message
-    sizes grow toward the root as real gathers do.
-    """
-    pid = ep.pid
-    obs = ep.sim.obs
-    span = obs.begin("coll.gather", pid, seq=str(seq)) if obs is not None else None
-    try:
-        tag = ("gather", seq)
-        collected = {pid: value}
-        total_bytes = nbytes
-        for child in _children(pid, p):
-            msg = yield from ep.recv(src=child, tag=tag)
-            collected.update(msg.payload)
-            total_bytes += msg.nbytes
-        if pid != 0:
-            yield from ep.send(_parent(pid), tag, total_bytes, payload=collected)
-            return None
-        return [collected[i] for i in range(p)]
-    finally:
-        if obs is not None:
-            obs.end(span)
 
 
 def tree_depth(p: int) -> int:

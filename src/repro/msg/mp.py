@@ -43,15 +43,6 @@ class Endpoint:
         yield from self.network.send_from(msg)
         return msg
 
-    def post(self, dst: int, tag: Any, nbytes: int, payload: Any = None) -> None:
-        """Fire-and-forget send as a detached process (still pays NIC time)."""
-        msg = Message(src=self.pid, dst=dst, tag=tag, nbytes=nbytes, payload=payload)
-
-        def _proc():
-            yield from self.network.send_from(msg)
-
-        self.sim.process(_proc())
-
     # -- receiving --------------------------------------------------------
     def recv(self, src: Optional[int] = None, tag: Any = None):
         """Generator: receive the first message matching ``(src, tag)``.

@@ -6,7 +6,8 @@ Chernoff-whp and observed-skew variants (§3.2–3.3, Figures 1–6).  This
 package is that comparison as one pipeline:
 
 * :mod:`~repro.predict.profile` — :class:`PhaseProfile`, the common
-  per-phase description both closed forms and measured runs map onto;
+  description both closed forms and measured runs map onto, made of
+  :class:`PhaseComm` s, the repository's one per-phase cost record;
 * :mod:`~repro.predict.sources` — per-algorithm profile sources (the
   §3.2 skew analyses for prefix sums, sample sort, list ranking);
 * :mod:`~repro.predict.models` — the builtin model variants

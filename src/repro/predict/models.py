@@ -8,13 +8,15 @@ in cycles:
   end-to-end ``put_word_cycles``/``get_word_cycles`` — exactly the
   closed forms of §3.2.  Vector (measured) phases use the side-split
   s-QSM costs (outbound + inbound + served traffic per processor, max
-  over processors) — exactly the generic observed-skew estimator.
+  over processors) — the "QSM estimate" from observed skews of
+  Figures 2 and 3, for any measured run.
 * **BSP** — the QSM price plus ``L`` (the software barrier) per sync.
-* **LogP** — per-message accounting via
-  :class:`~repro.core.models.LogPModel`: each phase's ``messages``
-  cost ``2·o·M + (M−1)·max(g−o, 0) + l``, with the per-message gap
-  approximated by the effective word cost (one bulk message per peer
-  carries many words; see ``docs/PREDICTION.md``).
+* **LogP** — per-message accounting: a phase whose processors each
+  send ``M > 0`` messages costs ``o + (M−1)·max(g, o) + l + o``
+  (consecutive injections spaced by ``max(g, o)``, the last message
+  landing ``l`` later and paying its receive overhead), with the
+  per-message gap approximated by the effective word cost (one bulk
+  message per peer carries many words; see ``docs/PREDICTION.md``).
 
 Topology-aware twins (``qsm-cluster``, ``bsp-cluster``,
 ``logp-cluster``) price the same profiles against the cost model's
@@ -35,8 +37,6 @@ scenario whose profile it is fed.
 from __future__ import annotations
 
 from repro import faults as _faults
-from repro.core.models import LogPModel, PhaseWork
-from repro.core.params import LogPParams
 from repro.predict.engine import ModelVariant, register_model
 from repro.predict.profile import PhaseProfile
 from repro.qsmlib.costmodel import CommCostModel
@@ -78,16 +78,16 @@ def logp_comm_cycles(profile: PhaseProfile, costs: CommCostModel) -> float:
 
     Uses the machine's real ``l`` and ``o``; the injection gap is the
     effective per-word cost (the bulk messages of these algorithms are
-    word-dominated), averaged over the put/get directions.
+    word-dominated), averaged over the put/get directions.  Phases
+    without messages cost nothing.
     """
     net = costs.network
-    g_word = 0.5 * (costs.put_word_cycles + costs.get_word_cycles)
-    model = LogPModel(
-        LogPParams(p=profile.p, l=net.latency_cycles, o=net.overhead_cycles, g=g_word)
-    )
+    l, o = net.latency_cycles, net.overhead_cycles
+    spacing = max(0.5 * (costs.put_word_cycles + costs.get_word_cycles), o)
     total = 0.0
     for ph in profile.phases:
-        total += model.phase_cost(PhaseWork(messages=ph.messages))
+        if ph.messages > 0:
+            total += o + (ph.messages - 1) * spacing + l + o
     return total
 
 

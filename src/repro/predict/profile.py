@@ -2,8 +2,12 @@
 
 A :class:`PhaseProfile` describes one algorithm execution as a sequence
 of per-phase communication quantities (:class:`PhaseComm`), plus the
-synchronization count that barrier-charging models (BSP) need.  Profiles
-come from two kinds of source:
+synchronization count that barrier-charging models (BSP) need.
+:class:`PhaseComm` is the repository's one per-phase cost record: the
+registry's QSM/BSP/LogP evaluators price it, and the QSM-on-BSP
+emulation and PRAM models of :mod:`repro.core` read its ``m_op``,
+``m_rw`` and ``kappa`` (Table 1's designer quantities).  Profiles come
+from two kinds of source:
 
 * **analytic** — an algorithm's closed-form analysis for a scenario
   (``best`` / ``whp``), where each phase carries *scalar* word counts:
@@ -16,7 +20,7 @@ come from two kinds of source:
 
 Model evaluators (:mod:`repro.predict.models`) price either kind; the
 scalar path reproduces the paper's closed forms bit-for-bit and the
-vector path reproduces the generic observed-skew estimators.
+vector path is the observed-skew "QSM estimate" of Figures 2 and 3.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
-
-from repro.core.models import PhaseWork
 
 
 @dataclass(frozen=True)
@@ -39,7 +41,10 @@ class PhaseComm:
     ``get_served_words`` exist only in the measured view: traffic a
     processor receives or serves as a memory owner, which the s-QSM
     charges too.  ``messages`` is the per-processor message count LogP
-    prices (analytic view only; 0 for a traffic-free phase).
+    prices (analytic view only; 0 for a traffic-free phase).  ``m_op``
+    (the most local operations at any processor) and ``kappa`` (the
+    most accesses to any one shared word) are measured-view quantities
+    the communication models leave unpriced.
     """
 
     put_words: Any = 0.0
@@ -57,34 +62,28 @@ class PhaseComm:
             self.get_words, np.ndarray
         )
 
+    @property
+    def m_rw(self) -> float:
+        """Table 1's ``m_rw``: the most remote words (puts + gets) any
+        one processor moves this phase."""
+        if self.is_vector:
+            words = np.asarray(self.put_words) + np.asarray(self.get_words)
+            return float(words.max()) if words.size else 0.0
+        return float(self.put_words) + float(self.get_words)
+
     @classmethod
     def from_phase_record(cls, record) -> "PhaseComm":
-        """Measured view of one :class:`~repro.qsmlib.stats.PhaseRecord`.
-
-        Reuses :meth:`repro.core.models.PhaseWork.from_phase_record` for
-        the abstract quantities (``m_op``, ``kappa``) and keeps the raw
-        per-processor word arrays for the side-split s-QSM pricing.
-        """
-        work = PhaseWork.from_phase_record(record)
+        """Measured view of one :class:`~repro.qsmlib.stats.PhaseRecord`:
+        the raw per-processor word arrays (for the side-split s-QSM
+        pricing), the busiest processor's ``m_op`` and the phase's
+        ``kappa`` (0 when contention tracking is off)."""
         return cls(
             put_words=record.put_words,
             get_words=record.get_words,
             put_in_words=record.put_in_words,
             get_served_words=record.get_served_words,
-            m_op=work.m_op,
-            kappa=work.kappa,
-        )
-
-    def as_phase_work(self) -> PhaseWork:
-        """Collapse to the abstract :class:`PhaseWork` (Table 1) view."""
-        if self.is_vector:
-            put = np.asarray(self.put_words)
-            get = np.asarray(self.get_words)
-            m_rw = float((put + get).max()) if put.size else 0.0
-        else:
-            m_rw = float(self.put_words) + float(self.get_words)
-        return PhaseWork(
-            m_op=self.m_op, m_rw=m_rw, kappa=self.kappa, messages=self.messages
+            m_op=float(record.op_counts.max()) if record.op_counts.size else 0.0,
+            kappa=float(record.kappa or 0),
         )
 
 

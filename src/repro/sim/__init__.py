@@ -18,9 +18,9 @@ processes in a flat heap that breaks ties the same way.
 """
 
 from repro.sim.engine import Simulator, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resource import PriorityResource, Request, Resource
+from repro.sim.resource import Request, Resource
 from repro.sim.store import Store
 from repro.sim.monitor import TimeWeightedStat, TallyStat
 from repro.sim.trace import TraceEntry, TraceRecorder
@@ -30,12 +30,8 @@ __all__ = [
     "SimulationError",
     "Event",
     "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Process",
     "Resource",
-    "PriorityResource",
     "Request",
     "Store",
     "TimeWeightedStat",

@@ -58,20 +58,16 @@ class _Deferred:
 _event_cls = None
 _timeout_cls = None
 _process_cls = None
-_allof_cls = None
-_anyof_cls = None
 
 
 def _bind_event_classes() -> None:
-    global _event_cls, _timeout_cls, _process_cls, _allof_cls, _anyof_cls
-    from repro.sim.events import AllOf, AnyOf, Event, Timeout
+    global _event_cls, _timeout_cls, _process_cls
+    from repro.sim.events import Event, Timeout
     from repro.sim.process import Process
 
     _event_cls = Event
     _timeout_cls = Timeout
     _process_cls = Process
-    _allof_cls = AllOf
-    _anyof_cls = AnyOf
 
 
 class Simulator:
@@ -198,16 +194,6 @@ class Simulator:
         if _process_cls is None:
             _bind_event_classes()
         return _process_cls(self, generator)
-
-    def all_of(self, events) -> "Event":
-        if _allof_cls is None:
-            _bind_event_classes()
-        return _allof_cls(self, list(events))
-
-    def any_of(self, events) -> "Event":
-        if _anyof_cls is None:
-            _bind_event_classes()
-        return _anyof_cls(self, list(events))
 
     # ------------------------------------------------------------------
     # Execution

@@ -55,20 +55,16 @@ class Event:
         return self._value
 
     # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0) -> "Event":
-        """Trigger the event successfully with *value*."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully with *value*, at the current time."""
         if self._value is not _PENDING or self._exc is not None:
             raise SimulationError("event already triggered")
         self._value = value
         sim = self.sim
-        if delay:
-            sim.schedule(self, delay)
-        else:
-            # Hot path: an immediate trigger is just a heap push at `now`.
-            heapq.heappush(sim._queue, (sim._now, next(sim._seq), self))
+        heapq.heappush(sim._queue, (sim._now, next(sim._seq), self))
         return self
 
-    def fail(self, exc: BaseException, delay: float = 0) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception (re-raised in waiters)."""
         if self._value is not _PENDING or self._exc is not None:
             raise SimulationError("event already triggered")
@@ -77,10 +73,7 @@ class Event:
         self._exc = exc
         self._ok = False
         sim = self.sim
-        if delay:
-            sim.schedule(self, delay)
-        else:
-            heapq.heappush(sim._queue, (sim._now, next(sim._seq), self))
+        heapq.heappush(sim._queue, (sim._now, next(sim._seq), self))
         return self
 
     # -- callbacks --------------------------------------------------------
@@ -121,64 +114,3 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         heapq.heappush(sim._queue, (sim._now + delay, next(sim._seq), self))
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, sim: Simulator, events: List[Event]) -> None:
-        super().__init__(sim)
-        self.events = events
-        self._count = 0
-        if not events:
-            self.succeed([])
-            return
-        for ev in events:
-            ev.add_callback(self._check)
-
-    def _check(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once every constituent event has fired.
-
-    The value is the list of constituent values, in constructor order.
-    A failed constituent fails the whole condition.
-    """
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev._exc)  # type: ignore[arg-type]
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed([e.value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires as soon as any constituent event fires; value is that event's value."""
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            self.fail(ev._exc)  # type: ignore[arg-type]
-            return
-        self.succeed(ev.value)

@@ -10,16 +10,16 @@ wait on each other.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Generator
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Event
 
 
 class Process(Event):
     """A running simulation process (also awaitable as an event)."""
 
-    __slots__ = ("_gen", "_waiting_on", "name")
+    __slots__ = ("_gen", "name")
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -29,7 +29,6 @@ class Process(Event):
             )
         super().__init__(sim)
         self._gen = gen
-        self._waiting_on: Event | None = None
         self.name = name or getattr(gen, "__name__", "process")
         # Bootstrap: start the generator at the current instant.  A bare
         # deferred callback costs one queue entry, same as the old
@@ -43,36 +42,11 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on is abandoned (its value is
-        discarded when it eventually fires).
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        target = self._waiting_on
-        self._waiting_on = None
-        if target is not None and not target.processed:
-            # Detach: when the abandoned event fires we must not resume.
-            try:
-                target.callbacks.remove(self._resume)  # type: ignore[union-attr]
-            except (ValueError, AttributeError):
-                pass
-        self.sim.defer(0, lambda: self._step(throw=Interrupt(cause)))
-
     # ------------------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event and self._waiting_on is not None:
-            return  # stale wake-up after an interrupt
-        self._waiting_on = None
-        self._step(event=event)
-
-    def _step(self, event: Event | None = None, throw: BaseException | None = None) -> None:
+    def _step(self, event: Event | None = None) -> None:
+        """Resume the generator with *event*'s outcome (``None``: start it)."""
         try:
-            if throw is not None:
-                target = self._gen.throw(throw)
-            elif event is not None and not event.ok:
+            if event is not None and not event.ok:
                 target = self._gen.throw(event._exc)  # type: ignore[arg-type]
             else:
                 target = self._gen.send(event.value if event is not None else None)
@@ -92,11 +66,10 @@ class Process(Event):
                 )
             )
             return
-        self._waiting_on = target
-        # Inlined target.add_callback(self._resume): `callbacks is None`
+        # Inlined target.add_callback(self._step): `callbacks is None`
         # means the event was already processed, so resume immediately.
         cbs = target.callbacks
         if cbs is None:
-            self._resume(target)
+            self._step(target)
         else:
-            cbs.append(self._resume)
+            cbs.append(self._step)

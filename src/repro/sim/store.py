@@ -12,7 +12,6 @@ from typing import Any
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.monitor import TimeWeightedStat
 
 
 class Store:
@@ -23,28 +22,22 @@ class Store:
         self.name = name
         self._items: deque = deque()
         self._getters: deque = deque()
-        self.level_stat = TimeWeightedStat(sim)
-        self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
         """Deposit *item*; wakes the oldest waiting getter, if any."""
-        self.total_puts += 1
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
-            self.level_stat.record(len(self._items))
 
     def get(self) -> Event:
         """An event that fires with the next item (immediately if available)."""
         ev = Event(self.sim)
         if self._items:
-            item = self._items.popleft()
-            self.level_stat.record(len(self._items))
-            ev.succeed(item)
+            ev.succeed(self._items.popleft())
         else:
             self._getters.append(ev)
         return ev
@@ -53,6 +46,4 @@ class Store:
         """Non-blocking get; returns the item or raises :class:`LookupError`."""
         if not self._items:
             raise LookupError(f"store {self.name!r} is empty")
-        item = self._items.popleft()
-        self.level_stat.record(len(self._items))
-        return item
+        return self._items.popleft()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import run_prefix_sums, run_prefix_sums_pram, sequential_prefix_sums
-from repro.core.models import PhaseWork
 from repro.core.pram import (
     AccessRule,
     PRAMAccessError,
@@ -13,38 +12,39 @@ from repro.core.pram import (
     pram_vs_qsm_phase_gap,
 )
 from repro.machine.config import MachineConfig
+from repro.predict import PhaseComm
 from repro.qsmlib import QSMMachine, RunConfig
 
 
 def test_pram_phase_cost_is_unit_ops_plus_accesses():
     model = PRAMModel(PRAMParams(p=8, rule=AccessRule.CRCW))
-    assert model.phase_cost(PhaseWork(m_op=10, m_rw=5, kappa=7)) == 15
+    assert model.phase_cost(PhaseComm(m_op=10, put_words=5, kappa=7)) == 15
 
 
 def test_pram_ignores_everything_the_other_models_charge():
     """No g, no L, no o, no l: two phases differing only in kappa cost
     the same under CRCW."""
     model = PRAMModel(PRAMParams(p=8, rule=AccessRule.CRCW))
-    a = PhaseWork(m_op=10, m_rw=5, kappa=1)
-    b = PhaseWork(m_op=10, m_rw=5, kappa=1000)
+    a = PhaseComm(m_op=10, put_words=5, kappa=1)
+    b = PhaseComm(m_op=10, put_words=5, kappa=1000)
     assert model.phase_cost(a) == model.phase_cost(b)
 
 
 def test_erew_rejects_concurrent_access():
     model = PRAMModel(PRAMParams(p=8, rule=AccessRule.EREW))
     with pytest.raises(PRAMAccessError, match="kappa"):
-        model.phase_cost(PhaseWork(m_op=1, m_rw=1, kappa=2))
-    assert model.phase_cost(PhaseWork(m_op=1, m_rw=1, kappa=1)) == 2
+        model.phase_cost(PhaseComm(m_op=1, put_words=1, kappa=2))
+    assert model.phase_cost(PhaseComm(m_op=1, put_words=1, kappa=1)) == 2
 
 
 def test_crew_allows_read_contention():
     model = PRAMModel(PRAMParams(p=8, rule=AccessRule.CREW))
-    assert model.phase_cost(PhaseWork(m_op=1, m_rw=1, kappa=8)) == 2
+    assert model.phase_cost(PhaseComm(m_op=1, put_words=1, kappa=8)) == 2
 
 
 def test_program_cost_sums():
     model = PRAMModel(PRAMParams(p=4))
-    phases = [PhaseWork(m_op=3), PhaseWork(m_rw=4)]
+    phases = [PhaseComm(m_op=3), PhaseComm(put_words=4)]
     assert model.program_cost(phases) == 7
 
 

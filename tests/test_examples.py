@@ -1,6 +1,6 @@
 """Smoke tests for the example scripts.
 
-Each example is importable and exposes ``main``; the cheapest one runs
+Each example is importable and exposes ``main``; the cheap ones run
 end to end (the rest execute real sweeps and are exercised by running
 them directly or via the benchmark suite).
 """
@@ -45,3 +45,15 @@ def test_membank_study_runs(capsys):
     load_example("membank_study").main()
     out = capsys.readouterr().out
     assert "SMP-NATIVE" in out and "Cray-T3E" in out
+
+
+def test_model_comparison_runs(capsys):
+    load_example("model_comparison").main()
+    out = capsys.readouterr().out
+    assert "qsm-observed (p, g)" in out and "logp (p, l, o, g)" in out
+
+
+def test_histogram_runs(capsys):
+    load_example("histogram").main()
+    out = capsys.readouterr().out
+    assert "QSM communication estimate: 21,075 cycles" in out

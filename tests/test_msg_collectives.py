@@ -1,33 +1,37 @@
-"""Tests for tree collectives."""
+"""Tests for the binary-tree barrier the sync engine runs.
+
+The barrier is :meth:`~repro.qsmlib.runtime.SyncEngine._barrier`,
+driven the way ``table3_observed.measure_barrier`` drives it: one
+process per node on a bare machine.  With no software cycles per hop
+its time is exactly the closed form
+:func:`~repro.msg.collectives.tree_barrier_cost_estimate`.
+"""
 
 import pytest
 
-from repro.machine.config import NetworkConfig
-from repro.machine.network import Network
-from repro.msg.collectives import (
-    barrier_proc,
-    broadcast_proc,
-    gather_proc,
-    tree_barrier_cost_estimate,
-    tree_depth,
-)
+from repro.experiments.table3_observed import measure_barrier
+from repro.machine.cluster import Machine
+from repro.machine.config import MachineConfig, NetworkConfig
+from repro.msg.collectives import tree_barrier_cost_estimate, tree_depth
 from repro.msg.mp import make_endpoints
-from repro.sim import Simulator
+from repro.qsmlib import SoftwareConfig
+from repro.qsmlib.runtime import SyncEngine
 
 
 def build(p):
-    sim = Simulator()
-    net = Network(sim, NetworkConfig(), p)
-    return sim, make_endpoints(net)
+    machine = Machine(MachineConfig(p=p))
+    eps = make_endpoints(machine.network)
+    engine = SyncEngine(machine, eps, SoftwareConfig(barrier_hop_cycles=0.0))
+    return machine.sim, eps, engine
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 16])
 def test_barrier_completes_for_any_p(p):
-    sim, eps = build(p)
+    sim, eps, engine = build(p)
     done = []
 
     def node(pid):
-        yield from barrier_proc(eps[pid], p, seq=0)
+        yield from engine._barrier(eps[pid], p, ("bar", 0))
         done.append(pid)
 
     for pid in range(p):
@@ -39,13 +43,13 @@ def test_barrier_completes_for_any_p(p):
 def test_barrier_actually_synchronizes():
     """No node may pass the barrier before every node has entered it."""
     p = 8
-    sim, eps = build(p)
+    sim, eps, engine = build(p)
     enter, exit_ = {}, {}
 
     def node(pid):
         yield sim.timeout(pid * 1000)  # staggered arrival
         enter[pid] = sim.now
-        yield from barrier_proc(eps[pid], p, seq=0)
+        yield from engine._barrier(eps[pid], p, ("bar", 0))
         exit_[pid] = sim.now
 
     for pid in range(p):
@@ -56,49 +60,18 @@ def test_barrier_actually_synchronizes():
 
 def test_consecutive_barriers_with_distinct_seq():
     p = 4
-    sim, eps = build(p)
+    sim, eps, engine = build(p)
     laps = {pid: 0 for pid in range(p)}
 
     def node(pid):
         for seq in range(3):
-            yield from barrier_proc(eps[pid], p, seq=seq)
+            yield from engine._barrier(eps[pid], p, ("bar", seq))
             laps[pid] += 1
 
     for pid in range(p):
         sim.process(node(pid))
     sim.run()
     assert all(v == 3 for v in laps.values())
-
-
-@pytest.mark.parametrize("p", [1, 2, 5, 16])
-def test_broadcast_delivers_value(p):
-    sim, eps = build(p)
-    results = {}
-
-    def node(pid):
-        value = yield from broadcast_proc(eps[pid], p, seq=0, value="payload" if pid == 0 else None)
-        results[pid] = value
-
-    for pid in range(p):
-        sim.process(node(pid))
-    sim.run()
-    assert all(v == "payload" for v in results.values())
-
-
-@pytest.mark.parametrize("p", [1, 2, 6, 16])
-def test_gather_collects_by_pid(p):
-    sim, eps = build(p)
-    results = {}
-
-    def node(pid):
-        out = yield from gather_proc(eps[pid], p, seq=0, value=pid * 11)
-        results[pid] = out
-
-    for pid in range(p):
-        sim.process(node(pid))
-    sim.run()
-    assert results[0] == [11 * i for i in range(p)]
-    assert all(results[pid] is None for pid in range(1, p))
 
 
 def test_tree_depth():
@@ -110,18 +83,11 @@ def test_tree_depth():
         tree_depth(0)
 
 
-def test_barrier_cost_estimate_matches_des_for_p16():
+@pytest.mark.parametrize("p", [2, 4, 8, 16])
+def test_barrier_cost_estimate_matches_des(p):
     """The hardware-only closed form equals the DES time without sw hops."""
-    p = 16
-    sim, eps = build(p)
-
-    def node(pid):
-        yield from barrier_proc(eps[pid], p, seq=0)
-
-    for pid in range(p):
-        sim.process(node(pid))
-    sim.run()
-    assert sim.now == pytest.approx(tree_barrier_cost_estimate(NetworkConfig(), p), rel=0.05)
+    no_hops = SoftwareConfig(barrier_hop_cycles=0.0)
+    assert measure_barrier(p, no_hops) == tree_barrier_cost_estimate(NetworkConfig(), p)
 
 
 def test_barrier_cost_grows_with_p():

@@ -87,19 +87,6 @@ def test_recv_before_send_blocks():
     assert times and times[0] > 5000
 
 
-def test_post_is_fire_and_forget():
-    sim, net, eps = build(2)
-    eps[0].post(1, "t", 8)
-
-    def receiver():
-        msg = yield from eps[1].recv(tag="t")
-        return msg.src
-
-    r = sim.process(receiver())
-    sim.run()
-    assert r.value == 0
-
-
 def test_two_receivers_same_endpoint_fifo():
     sim, net, eps = build(2)
     got = []

@@ -174,31 +174,6 @@ def test_network_instants_recorded(obs_state):
     assert obs.metrics().counter("net.bytes_injected").value > 0
 
 
-def test_collectives_emit_spans(obs_state):
-    from repro.msg.collectives import broadcast_proc
-    from repro.msg.mp import make_endpoints
-    from repro.machine.config import NetworkConfig
-    from repro.machine.network import Network
-    from repro.sim import Simulator
-
-    p = 4
-    sim = Simulator()
-    obs.attach(sim, label="collectives")
-    net = Network(sim, NetworkConfig(), p)
-    eps = make_endpoints(net)
-    got = {}
-
-    def node(pid):
-        got[pid] = yield from broadcast_proc(eps[pid], p, seq=0, value="v", nbytes=8)
-
-    for pid in range(p):
-        sim.process(node(pid))
-    sim.run()
-    assert got == {pid: "v" for pid in range(p)}
-    spans = [s for s in obs.runs()[-1].spans if s.name == "coll.broadcast"]
-    assert {s.track for s in spans} == set(range(p))
-
-
 def test_microbench_spans_and_metrics(obs_state):
     from repro.membank.machines import smp_native
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_random_list, run_list_ranking, run_prefix_sums, run_sample_sort
-from repro.core.estimators import bsp_comm_estimate, qsm_comm_estimate
 from repro.machine.config import MachineConfig
 from repro.predict import (
     PhaseProfile,
@@ -135,11 +134,11 @@ def test_samplesort_bsp_offset_is_5L(machine16):
 def test_samplesort_estimate_matches_generic(machine16, sort_run):
     costs, cpu = machine16
     source = make_source("samplesort", p=16, cpu=cpu)
-    assert predict_value(source, "qsm-observed", costs, run=sort_run.run) == qsm_comm_estimate(
-        sort_run.run, costs
-    )
-    assert predict_value(source, "bsp-observed", costs, run=sort_run.run) == bsp_comm_estimate(
-        sort_run.run, costs
+    run = sort_run.run
+    generic = qsm_comm_cycles(PhaseProfile.from_run(run), costs)
+    assert predict_value(source, "qsm-observed", costs, run=run) == generic
+    assert predict_value(source, "bsp-observed", costs, run=run) == (
+        generic + run.n_phases * costs.barrier_cycles(run.p)
     )
 
 
@@ -161,7 +160,7 @@ def test_samplesort_closed_form_with_observed_skews_close_to_generic(machine16, 
         n=65536.0,
     )
     closed = qsm_comm_cycles(profile, costs)
-    generic = qsm_comm_estimate(run, costs)
+    generic = qsm_comm_cycles(PhaseProfile.from_run(run), costs)
     assert closed == pytest.approx(generic, rel=0.30)
 
 

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,10 +17,10 @@ from repro.core.chernoff import (
     chernoff_binomial_lower,
     chernoff_binomial_upper,
 )
-from repro.core.models import PhaseWork, QSMModel, SQSMModel
-from repro.core.params import QSMParams, SQSMParams
 from repro.machine.cache import AnalyticCache, RandomAccess, SequentialAccess
 from repro.machine.config import NodeConfig
+from repro.predict import PhaseComm, PhaseProfile, qsm_comm_cycles
+from repro.qsmlib import QSMMachine, RunConfig
 from repro.qsmlib.layout import Layout, LayoutMap
 from repro.sim import Simulator
 
@@ -92,33 +94,47 @@ def test_list_rank_successor_has_next_rank(n, seed):
 # ---------------------------------------------------------------------------
 # Cost models
 # ---------------------------------------------------------------------------
-work_strategy = st.builds(
-    PhaseWork,
-    m_op=st.floats(min_value=0, max_value=1e9),
-    m_rw=st.floats(min_value=0, max_value=1e9),
-    kappa=st.floats(min_value=0, max_value=1e9),
+COSTS = QSMMachine(RunConfig()).cost_model()
+
+
+def _profile(phases):
+    return PhaseProfile(
+        algo="t", scenario="observed", p=8, n_syncs=len(phases), phases=tuple(phases)
+    )
+
+
+_words = st.lists(st.integers(min_value=0, max_value=10**6), min_size=8, max_size=8).map(
+    np.array
+)
+measured_phase = st.builds(
+    PhaseComm,
+    put_words=_words,
+    get_words=_words,
+    put_in_words=_words,
+    get_served_words=_words,
 )
 
 
-@given(work=work_strategy, g=st.floats(min_value=1.0, max_value=100.0))
+@given(phase=measured_phase)
 @SLOWISH
-def test_sqsm_dominates_qsm(work, g):
-    """s-QSM charges at least what QSM charges (g·kappa >= kappa for g>=1)."""
-    qsm = QSMModel(QSMParams(p=8, g=g)).phase_cost(work)
-    sqsm = SQSMModel(SQSMParams(p=8, g=g)).phase_cost(work)
+def test_sqsm_dominates_qsm(phase):
+    """s-QSM charges at least what QSM charges: pricing the words a
+    processor receives and serves as a memory owner on top of its
+    outbound words never lowers a measured phase's price."""
+    sqsm = qsm_comm_cycles(_profile([phase]), COSTS)
+    outbound = dataclasses.replace(phase, put_in_words=None, get_served_words=None)
+    qsm = qsm_comm_cycles(_profile([outbound]), COSTS)
     assert sqsm >= qsm
-    assert qsm >= max(work.m_op, work.kappa)  # cost at least each component
+    # cost at least each component
+    assert sqsm >= float((phase.put_in_words * COSTS.put_word_dst_cycles).max())
+    assert sqsm >= float((phase.get_served_words * COSTS.get_word_server_cycles).max())
 
 
-@given(
-    works=st.lists(work_strategy, min_size=1, max_size=10),
-    g=st.floats(min_value=0.1, max_value=100.0),
-)
+@given(phases=st.lists(measured_phase, min_size=1, max_size=10))
 @SLOWISH
-def test_program_cost_additive(works, g):
-    model = QSMModel(QSMParams(p=4, g=g))
-    assert model.program_cost(works) == pytest.approx(
-        sum(model.phase_cost(w) for w in works)
+def test_program_cost_additive(phases):
+    assert qsm_comm_cycles(_profile(phases), COSTS) == pytest.approx(
+        sum(qsm_comm_cycles(_profile([ph]), COSTS) for ph in phases)
     )
 
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimators import qsm_comm_estimate
 from repro.machine.config import MachineConfig
+from repro.predict import PhaseProfile, qsm_comm_cycles
 from repro.qsmlib import Layout, QSMMachine, RunConfig
 
 SLOW = settings(
@@ -134,5 +134,5 @@ def test_phase_time_at_least_floor_and_estimate(ts):
     qm, _, run = run_spec(p, spec)
     floor = qm.cost_model().sync_floor_cycles(p)
     assert run.comm_cycles >= 0.7 * floor
-    est = qsm_comm_estimate(run, qm.cost_model())
+    est = qsm_comm_cycles(PhaseProfile.from_run(run), qm.cost_model())
     assert run.comm_cycles >= 0.8 * est

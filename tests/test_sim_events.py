@@ -1,8 +1,8 @@
-"""Tests for Event / Timeout / AllOf / AnyOf semantics."""
+"""Tests for Event / Timeout semantics."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Timeout
+from repro.sim import Event, SimulationError, Timeout
 
 
 def test_event_starts_untriggered(sim):
@@ -57,68 +57,7 @@ def test_callback_after_processed_runs_immediately(sim):
     assert got == [5]
 
 
-def test_delayed_succeed(sim):
-    ev = Event(sim)
-    ev.succeed("late", delay=15)
-    sim.run()
-    assert sim.now == 15
-    assert ev.processed
-
-
 def test_timeout_value(sim):
     t = Timeout(sim, 3, value="tick")
     sim.run()
     assert t.value == "tick"
-
-
-def test_all_of_collects_values_in_order(sim):
-    evs = [sim.timeout(30, "a"), sim.timeout(10, "b"), sim.timeout(20, "c")]
-    combo = AllOf(sim, evs)
-    sim.run()
-    assert combo.value == ["a", "b", "c"]
-    assert sim.now == 30
-
-
-def test_all_of_empty_fires_immediately(sim):
-    combo = AllOf(sim, [])
-    sim.run()
-    assert combo.value == []
-
-
-def test_all_of_propagates_failure(sim):
-    ok = sim.timeout(1)
-    bad = Event(sim).fail(RuntimeError("nope"))
-    combo = AllOf(sim, [ok, bad])
-    sim.run()
-    assert not combo.ok
-
-
-def test_any_of_takes_first(sim):
-    combo = AnyOf(sim, [sim.timeout(30, "slow"), sim.timeout(5, "fast")])
-    sim.run()
-    assert combo.value == "fast"
-
-
-def test_any_of_ignores_later_events(sim):
-    first = sim.timeout(1, "one")
-    second = sim.timeout(2, "two")
-    combo = AnyOf(sim, [first, second])
-    sim.run()
-    assert combo.value == "one"
-    assert second.processed  # the late event still fires harmlessly
-
-
-def test_process_waits_on_all_of(sim):
-    def proc():
-        values = yield sim.all_of([sim.timeout(4, "x"), sim.timeout(2, "y")])
-        return values
-
-    assert sim.run_process(proc()) == ["x", "y"]
-
-
-def test_process_waits_on_any_of(sim):
-    def proc():
-        value = yield sim.any_of([sim.timeout(4, "x"), sim.timeout(2, "y")])
-        return value
-
-    assert sim.run_process(proc()) == "y"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimulationError, Simulator
+from repro.sim import Event, SimulationError, Simulator
 
 
 def test_process_requires_generator(sim):
@@ -79,55 +79,6 @@ def test_is_alive(sim):
     assert p.is_alive
     sim.run()
     assert not p.is_alive
-
-
-def test_interrupt_delivers_cause(sim):
-    def victim():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as intr:
-            return ("interrupted", intr.cause, sim.now)
-
-    def attacker(target):
-        yield sim.timeout(3)
-        target.interrupt(cause="why")
-
-    v = sim.process(victim())
-    sim.process(attacker(v))
-    sim.run()
-    assert v.value == ("interrupted", "why", 3)
-
-
-def test_interrupt_finished_process_raises(sim):
-    def proc():
-        yield sim.timeout(1)
-
-    p = sim.process(proc())
-    sim.run()
-    with pytest.raises(SimulationError, match="finished"):
-        p.interrupt()
-
-
-def test_abandoned_event_does_not_resume_twice(sim):
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(10)
-            log.append("timeout fired in victim")
-        except Interrupt:
-            yield sim.timeout(50)
-            log.append("post-interrupt sleep done")
-
-    def attacker(target):
-        yield sim.timeout(2)
-        target.interrupt()
-
-    v = sim.process(victim())
-    sim.process(attacker(v))
-    sim.run()
-    assert log == ["post-interrupt sleep done"]
-    assert sim.now == 52
 
 
 def test_immediate_return_process(sim):

@@ -1,8 +1,8 @@
-"""Tests for FCFS and priority resources."""
+"""Tests for FCFS resources."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, SimulationError
+from repro.sim import Resource, SimulationError
 
 
 def test_capacity_must_be_positive(sim):
@@ -84,56 +84,6 @@ def test_serve_helper_round_trip(sim):
 
     assert sim.run_process(proc()) == 7
     assert res.count == 0
-
-
-def test_priority_resource_orders_by_priority(sim):
-    res = PriorityResource(sim)
-    order = []
-
-    def proc(tag, priority):
-        req = res.request(priority)
-        yield req
-        yield sim.timeout(5)
-        res.release(req)
-        order.append(tag)
-
-    def submit():
-        # Occupy the resource, then submit contenders in reverse priority.
-        blocker = res.request(0)
-        yield blocker
-        sim.process(proc("low", 10))
-        sim.process(proc("high", 1))
-        sim.process(proc("mid", 5))
-        yield sim.timeout(1)
-        res.release(blocker)
-
-    sim.process(submit())
-    sim.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_priority_ties_fifo(sim):
-    res = PriorityResource(sim)
-    order = []
-
-    def proc(tag):
-        req = res.request(3)
-        yield req
-        yield sim.timeout(1)
-        res.release(req)
-        order.append(tag)
-
-    def submit():
-        blocker = res.request(0)
-        yield blocker
-        for tag in ["first", "second", "third"]:
-            sim.process(proc(tag))
-        yield sim.timeout(1)
-        res.release(blocker)
-
-    sim.process(submit())
-    sim.run()
-    assert order == ["first", "second", "third"]
 
 
 def test_contention_throughput_matches_theory(sim):

@@ -67,12 +67,13 @@ def test_multiple_getters_served_in_order(sim):
     assert got == [("a", 1), ("b", 2)]
 
 
-def test_len_and_total_puts(sim):
+def test_len_counts_buffered_items(sim):
     store = Store(sim)
     store.put("a")
     store.put("b")
     assert len(store) == 2
-    assert store.total_puts == 2
+    store.try_get()
+    assert len(store) == 1
 
 
 def test_try_get_nonblocking(sim):
