@@ -134,9 +134,10 @@ class FaultPlan:
     # ------------------------------------------------------------------
     @property
     def perturbs_network(self) -> bool:
-        """Whether this plan touches the wires (disables the batched
-        fast-sync path, whose analytic schedule cannot model per-message
-        random drops or jitter)."""
+        """Whether this plan touches the wires.  Such a plan clears
+        ``Network.ideal_delivery``, which sends every phase to the
+        per-message oracle: the epoch kernel cannot model per-message
+        random drops or jitter."""
         return self.drop_prob > 0.0 or self.delay_jitter_cycles > 0.0
 
     @property

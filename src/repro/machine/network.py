@@ -212,7 +212,7 @@ class Network:
         self._check_ids(msg)
         return self.sim.process(self._transfer_proc(msg))
 
-    def send_from(self, msg: Message):
+    def send_from(self, msg: Message, resume: Optional[int] = None):
         """Generator for the *sender's* view: returns once the local NIC
         has finished injecting the message; delivery continues in the
         background.
@@ -220,7 +220,9 @@ class Network:
         On an ideal network a message with a reserved ``order`` arrives
         under that heap place, scheduled as soon as its injection starts,
         so same-instant arrivals queue in reserved order; any other
-        message crosses the wire in a process of its own.
+        message crosses the wire in a process of its own.  A reserved
+        *resume* place likewise fixes when, among the events of the
+        instant the injection ends, the sender continues.
         """
         self._check_ids(msg)
         sim = self.sim
@@ -236,7 +238,7 @@ class Network:
         if reserved:
             arrival = sim.now + send_cycles + self._latency(msg)
             sim.schedule_at(_Deferred(partial(self._arrive, msg)), arrival, msg.order)
-        yield sim.timeout(send_cycles)
+        yield sim.timeout(send_cycles, order=resume if reserved else None)
         engine.release(req)
         msg.sent_at = sim.now
         self.bytes_sent += msg.nbytes

@@ -30,17 +30,25 @@ class Endpoint:
 
     # -- sending ----------------------------------------------------------
     def send(
-        self, dst: int, tag: Any, nbytes: int, payload: Any = None, order: Optional[int] = None
+        self,
+        dst: int,
+        tag: Any,
+        nbytes: int,
+        payload: Any = None,
+        order: Optional[int] = None,
+        resume: Optional[int] = None,
     ):
         """Generator: inject a message; returns when the NIC is free again.
 
-        *order*, from :meth:`~repro.sim.engine.Simulator.reserve`, fixes
-        the message's place among same-instant arrivals.
+        *order* and *resume*, from
+        :meth:`~repro.sim.engine.Simulator.reserve`, fix the message's
+        place among same-instant arrivals and the sender's place among
+        the events of the instant its injection ends.
         """
         msg = Message(
             src=self.pid, dst=dst, tag=tag, nbytes=nbytes, payload=payload, order=order
         )
-        yield from self.network.send_from(msg)
+        yield from self.network.send_from(msg, resume)
         return msg
 
     # -- receiving --------------------------------------------------------
@@ -83,16 +91,22 @@ class Endpoint:
         if self._pump_running:
             return
         self._pump_running = True
-        self.sim.process(self._pump())
+        self._pump_next()
 
-    def _pump(self):
-        """Drain the inbox while someone is waiting."""
-        inbox = self.network.inbox[self.pid]
-        while self._waiters:
-            msg = yield inbox.get()
-            if not self._match(msg):
-                self._pending.append(msg)
-        self._pump_running = False
+    def _pump_next(self) -> None:
+        """Drain the inbox while someone is waiting: each delivery wakes
+        the pump in one event, and it hands the message on at once, so
+        a waiter resumes the same number of events after its delivery
+        whether or not the pump was already running."""
+        self.network.inbox[self.pid].get().add_callback(self._pumped)
+
+    def _pumped(self, got: Event) -> None:
+        if not self._match(got.value):
+            self._pending.append(got.value)
+        if self._waiters:
+            self._pump_next()
+        else:
+            self._pump_running = False
 
 
 def make_endpoints(network: Network) -> List[Endpoint]:

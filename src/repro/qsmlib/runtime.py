@@ -63,7 +63,10 @@ class SyncEngine:
         self.sw = software
         self._seq = 0
         #: Phases executed per sync path this engine's lifetime — how
-        #: tests (and curious users) observe fallback decisions.
+        #: tests (and curious users) observe fallback decisions.  An
+        #: epoch phase counts as epoch whether the kernel folded its plan
+        #: prefix or re-priced it on the full heap (a choice made inside
+        #: the kernel from the topology and the phase's own timings).
         self.path_counts = {path.value: 0 for path in SyncPath}
 
     # ------------------------------------------------------------------
@@ -146,6 +149,8 @@ class SyncEngine:
         instantaneous per-message state; a kernel step hook wants to see
         every event.  Any of them degrades epoch to the per-message
         oracle — see the path-selection matrix in docs/PERFORMANCE.md.
+        Nothing here decides whether the kernel folds the plan prefix;
+        :meth:`~repro.qsmlib.epoch.EpochPhase.run` does, per phase.
         """
         return (
             self.sw.sync_path is SyncPath.EPOCH
@@ -203,9 +208,11 @@ class SyncEngine:
             return
 
         # Each stage reserves its messages' places in the arrival order
-        # the moment it starts sending (sim.reserve), which is when the
-        # epoch kernel pushes its arrival entries: same-instant arrivals
-        # at one receive resource then queue identically on both paths.
+        # the moment it starts sending (sim.reserve), and after them the
+        # place where the node resumes once its last injection ends.
+        # That is when and in which order the epoch kernel pushes its
+        # arrival entries and the node's drain, so same-instant events
+        # run in the same order on both paths.
 
         # -- 1. plan exchange ---------------------------------------------
         if obs is not None:
@@ -213,8 +220,15 @@ class SyncEngine:
             seg = obs.begin("qsm.plan", pid)
         peers = self._peer_order(pid, p)
         plan_bytes = sw.message_header_bytes + sw.plan_entry_bytes
-        for dst, order in zip(peers, sim.reserve(p - 1)):
-            yield from ep.send(dst, ("plan", seq), plan_bytes, order=order)
+        *orders, resume = sim.reserve(p)
+        for dst, order in zip(peers, orders):
+            yield from ep.send(
+                dst,
+                ("plan", seq),
+                plan_bytes,
+                order=order,
+                resume=resume if dst == peers[-1] else None,
+            )
         for _ in range(1, p):
             yield from ep.recv(tag=("plan", seq))
 
@@ -294,17 +308,27 @@ class SyncEngine:
 
     def _send_stage(self, ep: Endpoint, tag, sends):
         """Marshal and send one stage's ``(dst, marshal, chunks)`` list,
-        its chunks' arrival places reserved up front."""
+        its chunks' arrival places and the sender's resume place
+        reserved up front."""
         sim = self.machine.sim
         sw = self.sw
-        orders = iter(sim.reserve(sum(len(chunks) for _, _, chunks in sends)))
+        total = sum(len(chunks) for _, _, chunks in sends)
+        if not total:
+            return
+        orders = iter(sim.reserve(total + 1))
         for dst, marshal, chunks in sends:
             yield sim.timeout(marshal)
             for chunk in chunks:
                 if sw.send_pacing_cycles:
                     yield sim.timeout(sw.send_pacing_cycles)
+                total -= 1
+                order = next(orders)
                 yield from ep.send(
-                    dst, tag, sw.message_header_bytes + chunk, order=next(orders)
+                    dst,
+                    tag,
+                    sw.message_header_bytes + chunk,
+                    order=order,
+                    resume=None if total else next(orders),
                 )
 
     def _peer_order(self, pid: int, p: int):
@@ -328,11 +352,13 @@ class SyncEngine:
         if pid != 0:
             if hop:
                 yield sim.timeout(hop)
-            yield from ep.send(_parent(pid), up, CONTROL_BYTES, order=sim.reserve(1)[0])
+            order, resume = sim.reserve(2)
+            yield from ep.send(_parent(pid), up, CONTROL_BYTES, order=order, resume=resume)
             yield from ep.recv(src=_parent(pid), tag=down)
             if hop:
                 yield sim.timeout(hop)
         for child in _children(pid, p):
             if hop:
                 yield sim.timeout(hop)
-            yield from ep.send(child, down, CONTROL_BYTES, order=sim.reserve(1)[0])
+            order, resume = sim.reserve(2)
+            yield from ep.send(child, down, CONTROL_BYTES, order=order, resume=resume)

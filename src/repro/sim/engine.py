@@ -183,11 +183,16 @@ class Simulator:
             _bind_event_classes()
         return _event_cls(self)
 
-    def timeout(self, delay: float, value: Any = None) -> "Event":
-        """An event that fires ``delay`` cycles from now."""
+    def timeout(self, delay: float, value: Any = None, order: Optional[int] = None) -> "Event":
+        """An event that fires ``delay`` cycles from now.
+
+        With *order*, a number taken earlier from :meth:`reserve`, it
+        fires among same-instant events as if scheduled at the
+        reservation.
+        """
         if _timeout_cls is None:
             _bind_event_classes()
-        return _timeout_cls(self, delay, value)
+        return _timeout_cls(self, delay, value, order)
 
     def process(self, generator) -> "Process":
         """Spawn *generator* as a simulation process (starts at the current time)."""

@@ -107,10 +107,13 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: Simulator, delay: float, value: Any = None) -> None:
+    def __init__(
+        self, sim: Simulator, delay: float, value: Any = None, order: Optional[int] = None
+    ) -> None:
         super().__init__(sim)
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay!r}")
         self.delay = delay
         self._value = value
-        heapq.heappush(sim._queue, (sim._now + delay, next(sim._seq), self))
+        seq = next(sim._seq) if order is None else order
+        heapq.heappush(sim._queue, (sim._now + delay, seq, self))

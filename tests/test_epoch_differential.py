@@ -1,0 +1,312 @@
+"""The epoch kernel against the per-message oracle on generated programs.
+
+Every case is a seeded SPMD program run under ``sync_path="epoch"`` and
+``sync_path="slow"``.  The two runs must agree exactly on every phase's
+timings, the run's total cycles and the programs' return values, and
+with observability on, on every ``qsm.*`` span.  A third run keeps every
+epoch phase on the full merge heap, and must agree with the default
+kernel on its kernel event count too.  Cases cover:
+
+* p from 2 to 12, flat and cluster topologies;
+* zero and positive wire latency and NIC overhead, a fractional gap;
+* both exchange schedules, with and without barrier hop cycles;
+* uniform, skewed, hot-cell, one-sided and empty phases;
+* equal, zero, uneven and straggler compute, and compute stepped by one
+  plan message's send time, which lines arrivals, deliveries and drains
+  up on the same instants.
+
+On a flat topology the kernel folds the plan exchange and falls back to
+the full heap when a phase's later traffic overlaps it; a spy on the
+kernel checks that the examples exercise both routes.
+"""
+
+from collections import Counter
+from typing import NamedTuple
+from unittest import mock
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro import faults, obs
+from repro.algorithms.listrank import make_random_list, run_list_ranking
+from repro.algorithms.samplesort import run_sample_sort
+from repro.faults.plan import FaultPlan
+from repro.machine.config import ClusterTopology, MachineConfig, NetworkConfig
+from repro.qsmlib import QSMMachine, RunConfig
+from repro.qsmlib import epoch
+from repro.qsmlib.config import SoftwareConfig
+
+SLOWISH = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+#: Words one writer may put to one owner in a phase.
+SLOT = 6
+
+TRAFFIC = ("uniform", "skewed", "hot", "one-sided", "empty")
+COMPUTE = ("equal", "zero", "uneven", "straggler", "stepped")
+
+
+class Case(NamedTuple):
+    p: int
+    #: 0 for the flat topology.
+    cores_per_node: int
+    latency: float
+    overhead: float
+    gap: float
+    schedule: str
+    hop: float
+    sync_fixed: float
+    #: (traffic, compute, words) per phase.
+    phases: tuple
+    seed: int
+    traced: bool
+
+
+@st.composite
+def cases(draw):
+    p = draw(st.integers(2, 12))
+    divisors = [c for c in range(1, p + 1) if p % c == 0]
+    phase = st.tuples(
+        st.sampled_from(TRAFFIC), st.sampled_from(COMPUTE), st.integers(1, SLOT)
+    )
+    return Case(
+        p=p,
+        cores_per_node=draw(st.sampled_from([0, 0] + divisors)),
+        latency=draw(st.sampled_from([0.0, 37.5, 1600.0])),
+        overhead=draw(st.sampled_from([0.0, 13.0, 400.0])),
+        gap=draw(st.sampled_from([3.0, 0.37, 1.25])),
+        schedule=draw(st.sampled_from(["staggered", "fixed"])),
+        hop=draw(st.sampled_from([0.0, 311.0])),
+        sync_fixed=draw(st.sampled_from([0.0, 500.0])),
+        phases=tuple(draw(st.lists(phase, min_size=1, max_size=3))),
+        seed=draw(st.integers(0, 2**16)),
+        traced=draw(st.booleans()),
+    )
+
+
+def _program(ctx, src, dst, phases, seed, step):
+    """Seeded reads of *src* and disjoint writes to *dst*, per phase."""
+    p, pid = ctx.p, ctx.pid
+    rng = np.random.default_rng([seed, pid])
+    total = 0
+    for traffic, compute, words in phases:
+        if compute == "equal":
+            ctx.charge_cycles(700.0)
+        elif compute == "uneven":
+            ctx.charge_cycles(float(rng.integers(0, 4)) * 250.5)
+        elif compute == "straggler":
+            ctx.charge_cycles(9000.0 if pid == p // 2 else 300.0)
+        elif compute == "stepped":
+            ctx.charge_cycles(step * (pid % 3))
+        if traffic == "uniform":
+            owners = rng.integers(0, p, size=words)
+            reads = rng.integers(0, len(src), size=words)
+        elif traffic == "skewed":
+            owners = np.where(rng.random(words) < 0.8, 0, rng.integers(0, p, size=words))
+            reads = np.where(rng.random(words) < 0.8, 1, rng.integers(0, len(src), size=words))
+        elif traffic == "hot":
+            owners = np.zeros(0, dtype=np.int64)
+            reads = np.full(words, len(src) - 1)
+        elif traffic == "one-sided" and pid == 0:
+            owners = np.arange(words) % p
+            reads = np.arange(words) * 7 % len(src)
+        else:
+            owners = reads = np.zeros(0, dtype=np.int64)
+        if len(owners):
+            cells = owners * (p * SLOT) + pid * SLOT + np.arange(len(owners))
+            ctx.put(dst, cells, cells + pid)
+        handle = ctx.get(src, reads) if len(reads) else None
+        yield ctx.sync()
+        if handle is not None:
+            total += int(handle.data.sum())
+    return total
+
+
+def _config(case: Case, path: str) -> RunConfig:
+    topology = (
+        ClusterTopology(cores_per_node=case.cores_per_node)
+        if case.cores_per_node
+        else MachineConfig().topology
+    )
+    network = NetworkConfig(
+        gap_cycles_per_byte=case.gap,
+        overhead_cycles=case.overhead,
+        latency_cycles=case.latency,
+    )
+    return RunConfig(
+        machine=MachineConfig(p=case.p, network=network, topology=topology),
+        software=SoftwareConfig(
+            sync_path=path,
+            exchange_schedule=case.schedule,
+            barrier_hop_cycles=case.hop,
+            sync_fixed_cycles=case.sync_fixed,
+        ),
+        seed=case.seed,
+    )
+
+
+def _observe(case: Case, path: str) -> dict:
+    if case.traced:
+        obs.enable()
+    try:
+        qm = QSMMachine(_config(case, path))
+        src = qm.allocate("src", 8 * case.p)
+        src.data[:] = np.arange(8 * case.p) * 3 + 1
+        dst = qm.allocate("dst", case.p * case.p * SLOT)
+        # One plan message's send time: 32 header plus 24 entry bytes.
+        step = case.overhead + 56 * case.gap
+        run = qm.run(
+            _program, src=src, dst=dst, phases=case.phases, seed=case.seed, step=step
+        )
+        seen = {
+            "phases": [
+                (ph.start, ph.end, ph.comm_cycles, tuple(ph.compute_cycles)) for ph in run.phases
+            ],
+            "total": run.total_cycles,
+            "returns": run.returns,
+            "dst": dst.data.tolist(),
+            "events": run.sim_events,
+        }
+        if case.traced:
+            # The oracle closes spans as its processes run, epoch per
+            # node after each phase: compare them in one order.
+            spans = [
+                (s.track, s.t0, s.depth, s.name, s.t1, s.attrs)
+                for s in obs.runs()[-1].spans
+                if s.name.startswith("qsm.")
+            ]
+            seen["spans"] = sorted(spans, key=lambda span: span[:5])
+    finally:
+        if case.traced:
+            obs.disable()
+    return seen
+
+
+def _spied(routes: Counter):
+    """Patch the kernel so each phase's route lands in *routes*."""
+    replay = epoch.EpochPhase._replay
+
+    def spy(self, fold):
+        try:
+            timing = replay(self, fold)
+        except epoch._Inseparable:
+            routes["fallback"] += 1
+            raise
+        routes["folded" if fold else "full"] += 1
+        return timing
+
+    return mock.patch.object(epoch.EpochPhase, "_replay", spy)
+
+
+def _unfolded():
+    """Patch the kernel to price every phase on the full merge heap."""
+    return mock.patch.object(epoch.EpochPhase, "run", lambda self: self._replay(fold=False))
+
+
+#: FOLDS folds its first phase.  In FALLS_BACK, straggler node 5 starts
+#: its plan last, so node 6, the first it messages, finishes its plan
+#: and sends its hot-cell read to node 10 before node 5's plan message
+#: reaches node 10: the two share a queue, so the phase is re-priced
+#: with its plan on the heap.
+FOLDS = Case(8, 0, 1600.0, 400.0, 3.0, "staggered", 311.0, 500.0,
+             (("uniform", "equal", 3), ("hot", "straggler", 2)), 5, True)
+FALLS_BACK = Case(11, 0, 37.5, 400.0, 1.25, "staggered", 0.0, 500.0,
+                  (("hot", "straggler", 6),), 19060, False)
+#: A node's last plan delivery lands at the instant of its own drain.
+#: The drain, pushed when its plan started, pops first, so the node
+#: waits and is woken by the delivery: one more heap entry.
+DRAIN_TIES_DELIVERY = Case(4, 0, 0.0, 0.0, 0.37, "fixed", 0.0, 500.0,
+                           (("uniform", "zero", 5),), 41636, False)
+#: Node 3 continues at its plan drain at the instant node 5's last plan
+#: delivery wakes it: the drain, pushed when node 3's plan started, must
+#: pop first.
+DRAIN_BEFORE_WAKE = Case(7, 0, 0.0, 13.0, 0.37, "staggered", 311.0, 0.0,
+                         (("empty", "uneven", 5),), 6867, False)
+#: Node 4's plan drain and the plan deliveries that wake nodes 4 and 3
+#: share an instant.  Node 4 starts waiting there, and must still resume
+#: first: its delivery popped first.
+WAITS_AT_DELIVERY = Case(7, 0, 0.0, 0.0, 3.0, "fixed", 311.0, 0.0,
+                         (("one-sided", "uneven", 1),), 3765, False)
+#: Node 5's last reply injection ends at the instant node 3 finishes
+#: unmarshalling; both then send up the barrier through node 0's shared
+#: wire, so the order they resume in decides whose up message it serves
+#: first.  Epoch resumes node 5 at the drain pushed when its replies
+#: started; the oracle used to resume it at its last send timeout, which
+#: it schedules after node 3's unmarshal timeout.
+SENDER_RESUMES = Case(6, 3, 0.0, 0.0, 3.0, "staggered", 311.0, 0.0,
+                      (("hot", "equal", 1),), 0, False)
+
+
+def test_epoch_matches_oracle_on_generated_programs():
+    routes: Counter = Counter()
+
+    @example(case=FOLDS)
+    @example(case=FALLS_BACK)
+    @example(case=DRAIN_TIES_DELIVERY)
+    @example(case=DRAIN_BEFORE_WAKE)
+    @example(case=WAITS_AT_DELIVERY)
+    @example(case=SENDER_RESUMES)
+    @given(case=cases())
+    @SLOWISH
+    def check(case):
+        with _spied(routes):
+            got = _observe(case, "epoch")
+        want = _observe(case, "slow")
+        events = got.pop("events")
+        del want["events"]
+        assert got == want
+        with _unfolded():
+            heap = _observe(case, "epoch")
+        assert heap.pop("events") == events
+        assert heap == got
+
+    check()
+    assert routes["folded"] and routes["fallback"], routes
+
+
+# ----------------------------------------------------------------------
+# Fault tallies and kernel event counts, pinned
+# ----------------------------------------------------------------------
+def test_straggler_tally_matches_oracle():
+    """A phase re-priced on the full heap must not charge its stragglers
+    twice: the tally and the timings equal the oracle's."""
+    plan = FaultPlan(seed=4, straggler_count=2, straggler_slowdown=3.0)
+    seen = {}
+    routes: Counter = Counter()
+    for path in ("epoch", "slow"):
+        faults.reset_tally()
+        config = RunConfig(
+            MachineConfig(p=16).with_faults(plan),
+            software=SoftwareConfig(sync_path=path),
+            seed=1,
+        )
+        with _spied(routes):
+            out = run_list_ranking(make_random_list(8192, seed=1), config=config)
+        seen[path] = (
+            [(ph.start, ph.end, ph.comm_cycles) for ph in out.run.phases],
+            out.run.total_cycles,
+            faults.drain_tally(),
+        )
+    assert routes["fallback"], routes
+    assert seen["epoch"] == seen["slow"]
+    assert seen["epoch"][2]["fault.straggler_extra_cycles"] == 95641.3602827454
+
+
+#: ``run.sim_events`` per p: the kernel adds the entries the heap would
+#: have popped in the stages it folds, so the counts never move.
+SIM_EVENTS = {
+    2: (706, 165),
+    3: (2596, 320),
+    5: (8902, 754),
+    8: (19455, 1682),
+    16: (71358, 5737),
+}
+
+
+def test_sim_events_pinned():
+    for p, (listrank, samplesort) in SIM_EVENTS.items():
+        config = RunConfig(MachineConfig(p=p), seed=p)
+        ranked = run_list_ranking(make_random_list(3000, seed=p), config=config)
+        keys = np.random.default_rng(p).integers(0, 2**30, 5000)
+        sorted_ = run_sample_sort(keys, config=config)
+        assert (ranked.run.sim_events, sorted_.run.sim_events) == (listrank, samplesort), p
