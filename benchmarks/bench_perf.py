@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.experiments.executor import effective_jobs, parallel_map
+from repro.experiments.executor import clear_memo, effective_jobs, parallel_map
 from repro.machine.config import MachineConfig
 from repro.qsmlib.config import SoftwareConfig
 
@@ -94,7 +94,8 @@ def run_sweep_variant(
 
     The grid is repeated ``repeat`` times and the *minimum* wall time is
     reported — the standard estimator for "how fast is the code", since
-    scheduler and frequency noise only ever add time.
+    scheduler and frequency noise only ever add time.  Each pass starts
+    from an empty point memo, so every pass simulates the whole grid.
     """
     machine = MachineConfig()  # p=16, Table 2/3 defaults
     tasks = [
@@ -105,6 +106,7 @@ def run_sweep_variant(
     wall = float("inf")
     results = None
     for _ in range(max(1, repeat)):
+        clear_memo()
         t0 = time.perf_counter()
         pass_results = parallel_map(_bench_point, tasks, jobs=jobs)
         wall = min(wall, time.perf_counter() - t0)

@@ -6,9 +6,9 @@ per-iteration survivor counts (list ranking).  We implement:
 
 * the classic multiplicative Chernoff upper bound, inverted in closed
   form (what the paper used — conservative by design);
-* an exact inverse binomial tail via scipy, used by the test suite to
-  confirm the Chernoff inversion is a valid (and not absurdly loose)
-  upper bound.
+* an exact inverse binomial tail, summed term by term in log space,
+  used by the test suite to confirm the Chernoff inversion is a valid
+  (and not absurdly loose) upper bound.
 
 All bounds take a ``union`` factor: with p processors (and possibly
 several phases) the failure budget alpha is split evenly across the
@@ -18,8 +18,6 @@ events, the standard union-bound discipline.
 from __future__ import annotations
 
 import math
-
-from scipy import stats
 
 
 def chernoff_delta_upper(mu: float, alpha: float) -> float:
@@ -109,8 +107,12 @@ def oversampling_bucket_bound(n: int, p: int, s: int, alpha: float = 0.05) -> fl
 def binomial_tail_inverse_exact(n: int, prob: float, alpha: float = 0.1, union: int = 1) -> int:
     """Exact counterpart: smallest m with ``P[Bin(n,prob) ≥ m] ≤ alpha/union``.
 
-    Uses the exact binomial survival function; always ≤ the Chernoff
-    bound (the tests assert this ordering).
+    Sums the upper tail from ``k = n`` down, each ``P[X = k]`` computed
+    in log space through ``lgamma``, until it exceeds the budget.  A
+    tail within rounding (1e-12 relative) of the budget counts as
+    meeting it, so exact ties such as ``P[Bin(3, 1/2) ≥ 2] = 1/2``
+    resolve as the definition says.  Always ≤ the Chernoff bound (the
+    tests assert this ordering and cross-check ``scipy.stats.binom``).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -118,9 +120,25 @@ def binomial_tail_inverse_exact(n: int, prob: float, alpha: float = 0.1, union: 
         raise ValueError(f"prob must be in [0,1], got {prob}")
     if union < 1:
         raise ValueError(f"union must be >= 1, got {union}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if n == 0 or prob == 0:
         return 0
+    if prob == 1:
+        return n
     target = alpha / union
-    # P[X >= m] = sf(m - 1); isf gives the smallest x with sf(x) <= target.
-    m = int(stats.binom.isf(target, n, prob)) + 1
-    return min(n, max(0, m))
+    log_n_fact = math.lgamma(n + 1)
+    log_p = math.log(prob)
+    log_q = math.log1p(-prob)
+    tail = 0.0
+    for k in range(n, -1, -1):
+        tail += math.exp(
+            log_n_fact
+            - math.lgamma(k + 1)
+            - math.lgamma(n - k + 1)
+            + k * log_p
+            + (n - k) * log_q
+        )
+        if tail > target * (1.0 + 1e-12):
+            return min(n, k + 1)
+    return 0

@@ -24,8 +24,13 @@ with the obs payload, sanitizer diagnostics and fault tally recorded
 while it ran, and the parent merges those captures in task order.  So
 side state reaches the parent whatever armed it (a CLI flag, the
 environment, or a fault plan pinned on one machine config), and
-traces, metrics, diagnostics and tallies are independent of the job
-count.
+traces, diagnostics and fault counts are independent of the job count.
+Merged metrics match a sequential run to the last bit or two only:
+histogram moments and float tallies are summed per point, then across
+points, which rounds differently from one running sum (fig4 ``--fast
+--metrics`` reads a ``qsm.phase.comm_cycles`` mean of
+2958133.879362528 at ``--jobs 1`` and 2958133.8793625287 at ``--jobs
+2`` or under ``--cache``).
 
 Resilient execution
 -------------------
@@ -65,19 +70,56 @@ The store is also the checkpoint: re-running an interrupted command
 replays the points it finished and runs the rest.  One failure rule
 holds on every engine: failed points are never stored, so they re-run
 on resume (see docs/ROBUSTNESS.md).
+
+In-memory point memo
+--------------------
+Without a store, a point this process has already computed is replayed
+from memory rather than simulated again.  The §3.3 sweeps share one
+grid: fig5 repeats fig4's latency points and table4 repeats fig4's and
+fig6's, so ``all --fast`` simulates 114 of its 222 points.  The memo
+is process-wide: every :func:`parallel_map` call shares it (the
+``all``/``report`` loop, library callers, repeated
+``registry.run_experiment`` calls).  Its contract:
+
+* it is used only when no store is installed and observability is
+  off.  Obs-on runs keep the plain loop, because merging per-point
+  metric captures is not bit-exact for histogram moments (see above);
+* the key is :func:`repro.store.point_key` over the task, with the
+  store's env (fault plan, sanitizer mode) plus the resolved sync path,
+  :func:`effective_jobs` and whether a policy is installed.  Paths and
+  job counts are bit-identical by contract, but keying them keeps
+  in-process epoch≡oracle and jobs-1≡N checks executing both sides;
+* only module-level functions are memoized: a closure, lambda, partial
+  or callable instance can carry state no key sees, so it runs every
+  time, as does a task whose key is not fully structural
+  (``canonical(..., strict=True)`` raises, e.g. for an object printed
+  with its address, which a later object can reuse);
+* only successful points are kept, as pickled captures (result, fault
+  tally, sanitizer diagnostics) in an LRU of
+  :data:`MEMO_BUDGET_BYTES` (1 MiB) guarded by a lock.  Every capture
+  of ``all --fast`` totals ~0.9 MiB: a fig3 run record is ~90 KB, a
+  sweep point ~29 B;
+* hits touch no ``repro.store`` counter or listener.  A replayed point's
+  sanitizer warnings count in the summary but are not printed again.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
+import sys
+import threading
 import time
+import types
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import check, faults, obs
 from repro import store as result_store
+from repro.qsmlib.config import SoftwareConfig
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -94,6 +136,7 @@ __all__ = [
     "failures",
     "drain_failures",
     "is_failed",
+    "clear_memo",
 ]
 
 
@@ -239,14 +282,19 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: Optional[int] =
 
     With a result store installed (:func:`repro.store.set_store`) every
     task is first looked up by its content key; cached points replay
-    their stored capture and only novel points execute (see the module
-    docstring).
+    their stored capture and only novel points execute.  Without one,
+    a module-level *fn* replays the points this process already computed
+    from the in-memory memo (see the module docstring).
     """
     tasks = list(tasks)
     if not tasks:
         return []
     if result_store.active_store() is not None:
         return _merge_captures(_cached_map(fn, tasks, jobs))
+    if not obs.enabled() and _module_level(fn):
+        keys = _memo_keys(fn, tasks, jobs)
+        if any(keys):
+            return _merge_captures(_memo_map(fn, tasks, keys, jobs))
     if _POLICY is None and min(effective_jobs(jobs), len(tasks)) <= 1:
         return [fn(t) for t in tasks]
     return _merge_captures(_captured_map(fn, tasks, jobs))
@@ -374,13 +422,26 @@ def _captured_map(
 # ----------------------------------------------------------------------
 def _cache_env() -> Optional[dict]:
     """Ambient state folded into point keys: the armed global fault
-    plan (a machine-pinned plan already travels in the task tuple).
-    The sync path is excluded on purpose — all paths are bit-identical
-    by contract, so caching across them is sound."""
+    plan (a machine-pinned plan already travels in the task tuple), and
+    the obs and sanitizer modes, because a capture recorded with either
+    off carries no obs payload or diagnostics to replay.  ``None`` when
+    all are off, so plain keys (and stores written before the modes
+    were keyed) still hit.  The sync path is excluded on purpose — all
+    paths are bit-identical by contract, so caching across them is
+    sound."""
+    env: Dict[str, Any] = {}
     plan = faults.active_plan()
-    if plan is None:
-        return None
-    return {"faults": plan.to_spec() or "noop"}
+    if plan is not None:
+        env["faults"] = plan.to_spec() or "noop"
+    collecting = obs.state()
+    if collecting is not None:
+        env["obs"] = [
+            "spans" if collecting.record_spans else "metrics",
+            collecting.span_limit,
+        ]
+    if check.armed():
+        env["sanitize"] = check.mode()
+    return env or None
 
 
 def _fn_name(fn: Callable) -> str:
@@ -481,6 +542,137 @@ def _cached_map(fn: Callable[[T], R], tasks: List[T], jobs: Optional[int]) -> Li
         return [entry_by_key[key] for key in keys]
     finally:
         result_store.flush_obs_mirror()
+
+
+# ----------------------------------------------------------------------
+# In-memory point memo (no store installed)
+# ----------------------------------------------------------------------
+#: Byte budget of the point memo: pickled captures plus their keys.
+MEMO_BUDGET_BYTES = 1 << 20
+
+
+class _PointMemo:
+    """LRU of pickled point captures under a byte budget.
+
+    Holds bytes, not objects, so a caller that mutates a returned result
+    cannot change what a later replay returns.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._blobs)
+
+    def get(self, key: str) -> Optional[bytes]:
+        with self._lock:
+            blob = self._blobs.get(key)
+            if blob is not None:
+                self._blobs.move_to_end(key)
+            return blob
+
+    def put(self, key: str, blob: bytes) -> None:
+        size = len(key) + len(blob)
+        if size > self.budget:
+            return
+        with self._lock:
+            old = self._blobs.pop(key, None)
+            if old is not None:
+                self.nbytes -= len(key) + len(old)
+            self._blobs[key] = blob
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                evicted, evicted_blob = self._blobs.popitem(last=False)
+                self.nbytes -= len(evicted) + len(evicted_blob)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._blobs.clear()
+            self.nbytes = 0
+
+
+_MEMO = _PointMemo(MEMO_BUDGET_BYTES)
+
+
+def clear_memo() -> None:
+    """Forget every memoized point."""
+    _MEMO.clear()
+
+
+def _module_level(fn: Callable) -> bool:
+    """Whether *fn* is a plain function bound under its own name at the
+    top level of its module, so that its name identifies what it
+    computes."""
+    if not isinstance(fn, types.FunctionType):
+        return False
+    module = sys.modules.get(fn.__module__)
+    return getattr(module, fn.__qualname__, None) is fn
+
+
+def _memo_keys(fn: Callable, tasks: List[Any], jobs: Optional[int]) -> List[Optional[str]]:
+    """Memo key of each task, ``None`` where the task has no fully
+    structural form."""
+    fn_name = _fn_name(fn)
+    env = {
+        "store": _cache_env(),
+        "sync": SoftwareConfig().sync_path.value,
+        "jobs": effective_jobs(jobs),
+        "policy": _POLICY is not None,
+    }
+    keys: List[Optional[str]] = []
+    for task in tasks:
+        try:
+            keys.append(result_store.point_key(fn_name, task, env=env, strict=True))
+        except result_store.NotStructural:
+            keys.append(None)
+    return keys
+
+
+def _memo_map(
+    fn: Callable[[T], R], tasks: List[T], keys: List[Optional[str]], jobs: Optional[int]
+) -> List[_Entry]:
+    """Replay the memoized points, run the rest on the capture engines
+    and keep each success; returns entries in task order."""
+    entries: List[Optional[_Entry]] = [None] * len(tasks)
+    novel: List[int] = []
+    for i, key in enumerate(keys):
+        blob = _MEMO.get(key) if key is not None else None
+        if blob is None:
+            novel.append(i)
+        else:
+            entries[i] = ("ok", pickle.loads(blob))
+    if not novel:
+        return entries
+
+    def keep(j: int, entry: _Entry) -> None:
+        i = novel[j]
+        entries[i] = entry
+        if entry[0] == "ok" and keys[i] is not None:
+            try:
+                blob = pickle.dumps(entry[1], protocol=pickle.HIGHEST_PROTOCOL)
+            except (pickle.PicklingError, TypeError, AttributeError):
+                return  # an unpicklable result simply runs again
+            _MEMO.put(keys[i], blob)
+
+    held = _hold_side_state()
+    try:
+        _captured_map(fn, [tasks[i] for i in novel], jobs, progress=keep)
+    except BaseException:
+        # Leave side state as the plain loop would: what came before the
+        # map, the points before the one that raised, then its partial
+        # state.
+        partial_state = _hold_side_state()
+        _merge_side_state(held)
+        for entry in itertools.takewhile(lambda e: e is not None, entries):
+            if entry[0] == "ok":
+                _merge_side_state(entry[1][1:])
+        _merge_side_state(partial_state)
+        raise
+    _merge_side_state(held)
+    return entries
 
 
 # ----------------------------------------------------------------------

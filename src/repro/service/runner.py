@@ -35,6 +35,11 @@ import os
 import time
 from typing import Any, Dict, Tuple
 
+# Loaded once here, in the server, so that every forked runner inherits
+# it: numpy loads ``numpy.random`` lazily, and every sweep point seeds a
+# generator, so without this each runner would import it per request.
+import numpy.random  # noqa: F401
+
 from repro.service.protocol import SweepRequest
 
 __all__ = ["runner_main", "spawn_runner"]

@@ -35,6 +35,7 @@ from repro.store.cas import ResultStore, StoreStats
 from repro.store.flight import FileFlight, SingleFlight
 from repro.store.keys import (
     STORE_VERSION,
+    NotStructural,
     canonical,
     digest,
     point_key,
@@ -47,6 +48,7 @@ __all__ = [
     "SingleFlight",
     "FileFlight",
     "STORE_VERSION",
+    "NotStructural",
     "ENV_VAR",
     "canonical",
     "digest",

@@ -17,9 +17,10 @@ stable 64-hex SHA-256 key suitable for a content-addressed store:
   don't already catch) invalidates the whole store at once without
   touching any file;
 * **environment capture** — the caller passes the ambient state that
-  changes results but does not travel in the task tuple (the armed
-  global fault plan); the sync path is deliberately *excluded* because
-  both paths are bit-identical by contract (docs/PERFORMANCE.md).
+  changes results or their side state but does not travel in the task
+  tuple (the armed global fault plan, the obs and sanitizer modes); the
+  sync path is deliberately *excluded* because both paths are
+  bit-identical by contract (docs/PERFORMANCE.md).
 
 :func:`request_key` is the request-level analogue used by the sweep
 service: it additionally folds in the prediction-model set, so two
@@ -37,6 +38,7 @@ from typing import Any, Optional
 
 __all__ = [
     "STORE_VERSION",
+    "NotStructural",
     "canonical",
     "digest",
     "point_key",
@@ -49,13 +51,21 @@ __all__ = [
 STORE_VERSION = 1
 
 
-def canonical(obj: Any) -> Any:
+class NotStructural(TypeError):
+    """Raised by ``canonical(..., strict=True)`` for a value it could
+    only lower through ``repr``."""
+
+
+def canonical(obj: Any, strict: bool = False) -> Any:
     """Lower *obj* to a canonical JSON-serialisable structure.
 
     The mapping is injective for the types sweeps actually use (frozen
     config dataclasses, numbers, strings, tuples); anything unknown
     falls back to ``repr`` — last resort, stable for simple objects but
-    carrying none of the structural guarantees.
+    carrying none of the structural guarantees (an object printed with
+    its address can share a key with a later, different object at the
+    same address).  With *strict* the fallback raises
+    :class:`NotStructural` instead.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -69,7 +79,7 @@ def canonical(obj: Any) -> Any:
             "dc",
             f"{cls.__module__}.{cls.__qualname__}",
             [
-                [f.name, canonical(getattr(obj, f.name))]
+                [f.name, canonical(getattr(obj, f.name), strict)]
                 for f in sorted(fields(obj), key=lambda f: f.name)
             ],
         ]
@@ -77,12 +87,12 @@ def canonical(obj: Any) -> Any:
         cls = type(obj)
         return ["enum", f"{cls.__module__}.{cls.__qualname__}", obj.name]
     if isinstance(obj, (list, tuple)):
-        return ["seq", [canonical(v) for v in obj]]
+        return ["seq", [canonical(v, strict) for v in obj]]
     if isinstance(obj, (set, frozenset)):
-        items = [canonical(v) for v in obj]
+        items = [canonical(v, strict) for v in obj]
         return ["set", sorted(items, key=lambda c: json.dumps(c, sort_keys=True))]
     if isinstance(obj, dict):
-        items = [[canonical(k), canonical(v)] for k, v in obj.items()]
+        items = [[canonical(k, strict), canonical(v, strict)] for k, v in obj.items()]
         return ["map", sorted(items, key=lambda kv: json.dumps(kv[0], sort_keys=True))]
     if isinstance(obj, bytes):
         return ["bytes", hashlib.sha256(obj).hexdigest(), len(obj)]
@@ -95,7 +105,7 @@ def canonical(obj: Any) -> Any:
             return canonical(float(obj))
         if isinstance(obj, np.bool_):
             return bool(obj)
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, np.ndarray) and not (strict and obj.dtype.hasobject):
             arr = np.ascontiguousarray(obj)
             return [
                 "nd",
@@ -105,6 +115,8 @@ def canonical(obj: Any) -> Any:
             ]
     except ImportError:  # pragma: no cover - numpy is a hard dep here
         pass
+    if strict:
+        raise NotStructural(f"{type(obj).__qualname__} has no canonical form")
     return ["repr", repr(obj)]
 
 
@@ -115,22 +127,27 @@ def digest(struct: Any) -> str:
 
 
 def point_key(
-    fn_name: str, task: Any, env: Any = None, version: Optional[int] = None
+    fn_name: str,
+    task: Any,
+    env: Any = None,
+    version: Optional[int] = None,
+    strict: bool = False,
 ) -> str:
     """Content key of one sweep point.
 
     ``fn_name`` names the worker function (two workers given the same
     tuple compute different things), ``task`` is the point tuple, and
     ``env`` carries ambient state that perturbs results (the armed
-    fault plan spec).
+    fault plan spec).  With *strict*, a task or env without a fully
+    structural form raises :class:`NotStructural`.
     """
     return digest(
         [
             "qsm-point",
             STORE_VERSION if version is None else version,
             fn_name,
-            canonical(task),
-            canonical(env),
+            canonical(task, strict),
+            canonical(env, strict),
         ]
     )
 

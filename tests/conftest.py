@@ -76,6 +76,15 @@ def _store_stays_off():
         pytest.fail("a test left repro.store installed; call store.clear_store()")
 
 
+@pytest.fixture(autouse=True)
+def _memo_starts_empty():
+    """Guard: no test replays sweep points another test computed."""
+    from repro.experiments import executor
+
+    executor.clear_memo()
+    yield
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -89,6 +89,27 @@ def test_exact_inverse_is_exact():
     assert stats.binom.sf(m - 2, n, p) > alpha
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 100, 1000, 10000])
+@pytest.mark.parametrize("p", [0.001, 1 / 16, 0.25, 0.5, 0.9, 0.999])
+def test_exact_inverse_matches_scipy(n, p):
+    """The log-space tail sum agrees with scipy's inverse survival
+    function on a grid, dyadic ties (p = 1/2, alpha = 1/2) included."""
+    for alpha in (0.001, 0.05, 0.1, 0.25, 0.5):
+        for union in (1, 4, 16):
+            target = alpha / union
+            expected = min(n, max(0, int(stats.binom.isf(target, n, p)) + 1))
+            assert binomial_tail_inverse_exact(n, p, alpha=alpha, union=union) == expected
+
+
+def test_exact_inverse_degenerate_and_invalid():
+    assert binomial_tail_inverse_exact(0, 0.5) == 0
+    assert binomial_tail_inverse_exact(50, 0.0) == 0
+    assert binomial_tail_inverse_exact(50, 1.0) == 50
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            binomial_tail_inverse_exact(10, 0.5, alpha=alpha)
+
+
 def test_oversampling_bound_shape():
     n, p = 100000, 16
     b64 = oversampling_bucket_bound(n, p, s=64)

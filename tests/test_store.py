@@ -13,6 +13,7 @@ import pytest
 
 from repro.machine.config import MachineConfig
 from repro.store import (
+    NotStructural,
     ResultStore,
     SingleFlight,
     canonical,
@@ -68,6 +69,18 @@ class TestCanonical:
     def test_digest_is_stable_json(self):
         assert digest(["x", 1]) == digest(["x", 1])
         assert digest(["x", 1]) != digest(["x", 2])
+
+    def test_strict_rejects_what_only_repr_can_lower(self):
+        task = (MachineConfig(p=4), {"n": 4096}, {1, 2}, np.arange(3), b"x", 0.5)
+        assert canonical(task, strict=True) == canonical(task)
+        # repr of a plain object embeds its address, which a later
+        # object can reuse; an object array's bytes are addresses too.
+        for opaque in (object(), (1, [object()]), np.array([object()])):
+            with pytest.raises(NotStructural):
+                canonical(opaque, strict=True)
+            with pytest.raises(NotStructural):
+                point_key("f", opaque, strict=True)
+        assert canonical(object())[0] == "repr"  # the store's lenient form
 
 
 class TestPointKey:

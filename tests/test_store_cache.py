@@ -4,21 +4,28 @@ Contracts (see docs/SERVICE.md): a second identical sweep executes
 zero simulator points; results are byte-identical between fresh and
 cached runs under any job count; failures are never cached; the
 hit/miss/coalesced counters surface through repro.store and repro.obs;
-key invalidation covers the version salt and the armed fault plan.
+key invalidation covers the version salt, the armed fault plan and the
+obs and sanitizer modes.  ``TestProcessMemo`` pins, clause by clause,
+the in-memory memo that replays points when no store is installed
+(the executor's module docstring).
 """
 
+import functools
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
-from repro import faults, obs, store
+from repro import check, faults, obs, store
 from repro.experiments import executor
 from repro.experiments.executor import (
     ExecutionPolicy,
     is_failed,
     parallel_map,
 )
+from tests.test_parallel_executor import _racy_point
 
 
 @pytest.fixture(autouse=True)
@@ -66,6 +73,40 @@ def _poisoned(x):
     return x * x
 
 
+def _observed_square(x):
+    """Counts its executions and, with obs on, one ``test.points`` per point."""
+    if obs.enabled():
+        obs.metrics().counter("test.points").inc()
+    return _counted_square(x)
+
+
+def _counted_list(x):
+    """Returns a mutable result."""
+    _counted_square(x)
+    return [x]
+
+
+def _counted_tag(task):
+    with open(_count_file(), "a") as fh:
+        fh.write(f"{task[0]}\n")
+    return task[0]
+
+
+def _racy_or_raise(seed):
+    if seed < 0:
+        raise ValueError(f"bad seed {seed}")
+    return _racy_point(seed)
+
+
+class _Square:
+    def __call__(self, x):
+        return _counted_square(x)
+
+
+class _Opaque:
+    """Has no canonical form: its repr embeds its address."""
+
+
 @pytest.fixture
 def count_file(tmp_path, monkeypatch):
     path = tmp_path / "count.txt"
@@ -106,11 +147,12 @@ class TestSecondRunIsFree:
         assert _executions() == 1
         assert store.counters()["coalesced"] == 2
 
-    def test_uninstalled_store_means_plain_execution(self, count_file):
+    def test_uninstalled_store_means_in_memory_replay(self, count_file):
         assert store.active_store() is None
-        parallel_map(_counted_square, [1, 2], jobs=1)
-        parallel_map(_counted_square, [1, 2], jobs=1)
-        assert _executions() == 4  # no memoization without a store
+        assert parallel_map(_counted_square, [1, 2], jobs=1) == [1, 4]
+        assert parallel_map(_counted_square, [1, 2], jobs=1) == [1, 4]
+        assert _executions() == 2  # the process memo replayed both points
+        assert store.counters()["hits"] == 0  # and no store was consulted
 
 
 class TestFailuresAndSideState:
@@ -166,6 +208,41 @@ class TestInvalidation:
         parallel_map(_counted_square, [8], jobs=1)
         assert _executions() == 2  # plan off again -> original key hits
 
+    def test_obs_mode_distinguishes_keys(self, cache, count_file):
+        # A point stored by a plain run carries no obs payload: replaying
+        # it under --metrics/--trace would export nothing for it.
+        parallel_map(_observed_square, [1, 2], jobs=1)
+        try:
+            obs.enable(spans=False)
+            parallel_map(_observed_square, [1, 2], jobs=1)
+            assert obs.metrics().counter("test.points").value == 2
+            obs.enable(spans=True)  # spans are keyed apart from metrics
+            parallel_map(_observed_square, [1, 2], jobs=1)
+            assert _executions() == 6
+            obs.enable(spans=True)  # same mode: replays its payload
+            parallel_map(_observed_square, [1, 2], jobs=1)
+            assert _executions() == 6
+            assert obs.metrics().counter("test.points").value == 2
+        finally:
+            obs.disable()
+        parallel_map(_observed_square, [1, 2], jobs=1)
+        assert _executions() == 6  # obs off again -> the plain keys hit
+
+    def test_sanitizer_mode_distinguishes_keys(self, cache, capsys):
+        # A point stored unsanitized carries no diagnostics: replaying
+        # it under --sanitize would report a racy sweep clean.
+        tasks = [3, 4]
+        assert parallel_map(_racy_point, tasks, jobs=1) == tasks
+        check.arm("warn")
+        try:
+            for _ in range(2):  # computed, then replayed from the store
+                parallel_map(_racy_point, tasks, jobs=1)
+                assert [d.code for d in check.drain_diagnostics()] == ["QS002"] * 2
+        finally:
+            check.disarm()
+        assert store.counters()["hits"] == 2
+        capsys.readouterr()
+
     def test_model_set_changes_request_identity(self):
         from repro.service import SweepRequest
 
@@ -175,3 +252,191 @@ class TestInvalidation:
         assert a != b
         assert a == c  # jobs never changes identity
 
+
+class TestProcessMemo:
+    """Without a store, module-level workers replay repeated points."""
+
+    def test_obs_on_runs_every_time(self, count_file, obs_state):
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        assert _executions() == 4 and len(executor._MEMO) == 0
+
+    def test_installed_store_keeps_the_store_path(self, tmp_path, count_file):
+        parallel_map(_counted_square, [1, 2], jobs=1)  # memo now holds both
+        store.set_store(tmp_path / "cas")
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        counts = store.counters()
+        store.clear_store()
+        assert _executions() == 4  # the memo's 2, then the store's 2 misses
+        assert (counts["hits"], counts["misses"], counts["inflight"]) == (2, 2, 2)
+
+    @pytest.mark.parametrize("change", ["faults", "sanitize", "sync", "jobs", "policy"])
+    def test_key_covers_the_engine_state(self, change, count_file, monkeypatch):
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        jobs = 1
+        if change == "faults":
+            faults.arm("drop=0.25,seed=3")
+        elif change == "sanitize":
+            check.arm("warn")
+        elif change == "sync":
+            monkeypatch.setenv("QSM_SYNC_PATH", "slow")
+        elif change == "jobs":
+            jobs = 2
+        else:
+            executor.set_policy(ExecutionPolicy(max_retries=0, backoff_seconds=0.0))
+        try:
+            assert parallel_map(_counted_square, [1, 2], jobs=jobs) == [1, 4]
+            assert _executions() == 4  # a new key: both points ran again
+            assert parallel_map(_counted_square, [1, 2], jobs=jobs) == [1, 4]
+            assert _executions() == 4  # the same state replays
+        finally:
+            if change == "faults":
+                faults.disarm()
+            elif change == "sanitize":
+                check.disarm()
+
+    def test_sync_path_keyed_as_resolved(self, count_file, monkeypatch):
+        parallel_map(_counted_square, [1], jobs=1)
+        monkeypatch.setenv("QSM_SYNC_PATH", " EPOCH ")  # the default path
+        parallel_map(_counted_square, [1], jobs=1)
+        assert _executions() == 1
+
+    @pytest.mark.parametrize(
+        "make_fn",
+        [
+            lambda: (lambda x: _counted_square(x)),
+            lambda: functools.partial(_counted_square),
+            lambda: _Square(),
+            lambda: _Square().__call__,
+        ],
+        ids=["lambda", "partial", "instance", "method"],
+    )
+    def test_only_module_level_functions(self, make_fn, count_file):
+        fn = make_fn()
+        for _ in range(2):
+            assert parallel_map(fn, [1, 2], jobs=1) == [1, 4]
+        assert _executions() == 4 and len(executor._MEMO) == 0
+
+    def test_closures_and_rebound_functions_run_every_time(self, count_file, monkeypatch):
+        original = _counted_square
+
+        def closure(x):
+            return original(x)
+
+        monkeypatch.setattr(sys.modules[__name__], "_counted_square", closure)
+        for fn in (closure, original):  # original is no longer bound by name
+            parallel_map(fn, [1, 2], jobs=1)
+            parallel_map(fn, [1, 2], jobs=1)
+        assert _executions() == 8 and len(executor._MEMO) == 0
+
+    def test_only_structural_tasks(self, count_file):
+        tasks = [("a", 1), ("b", _Opaque()), ("c", 2)]
+        assert parallel_map(_counted_tag, tasks, jobs=1) == ["a", "b", "c"]
+        assert parallel_map(_counted_tag, tasks, jobs=1) == ["a", "b", "c"]
+        with open(_count_file()) as fh:
+            assert fh.read().split() == ["a", "b", "c", "b"]
+
+    def test_only_successful_points_kept(self, count_file):
+        executor.set_policy(ExecutionPolicy(max_retries=0, backoff_seconds=0.0))
+        for _ in range(2):
+            out = parallel_map(_poisoned, [1, 2, 3], jobs=1)
+            assert out[0] == 1 and is_failed(out[1]) and out[2] == 9
+            assert len(executor.drain_failures()) == 1
+        assert _executions() == 3 + 1  # only the failed point ran again
+        executor.clear_policy()
+        for _ in range(2):  # plain engine: the raise propagates, each time
+            with pytest.raises(ValueError, match="poisoned point 2"):
+                parallel_map(_poisoned, [1, 2, 3], jobs=1)
+        assert _executions() == 4 + 2 + 1
+
+    def test_raise_keeps_the_side_state_of_earlier_points(self, sanitizer_warn, capsys):
+        _racy_point(6)  # recorded before the map
+        with pytest.raises(ValueError):
+            parallel_map(_racy_or_raise, [3, 4, -1, 5], jobs=1)
+        cells = [d.message.split("cell ")[1][0] for d in check.drain_diagnostics()]
+        assert cells == ["2", "3", "0"]  # as the plain loop left them
+        capsys.readouterr()
+
+    def test_replays_side_state(self, sanitizer_warn, capsys):
+        for _ in range(2):
+            assert parallel_map(_racy_point, [3, 4], jobs=1) == [3, 4]
+            assert [d.code for d in check.drain_diagnostics()] == ["QS002"] * 2
+        assert len(executor._MEMO) == 2
+        capsys.readouterr()
+
+    def test_hits_leave_store_counters_and_listener_alone(self, count_file):
+        events = []
+        store.reset_counters()
+        store.set_listener(events.append)
+        for _ in range(2):
+            parallel_map(_counted_square, [1, 2], jobs=1)
+        assert _executions() == 2
+        assert events == []
+        counts = store.counters()
+        assert all(counts[k] == 0 for k in ("hits", "misses", "coalesced", "inflight"))
+
+    def test_holds_bytes_not_objects(self, count_file):
+        first = parallel_map(_counted_list, [3], jobs=1)
+        first[0].append("mutated by the caller")
+        assert parallel_map(_counted_list, [3], jobs=1) == [[3]]
+        assert _executions() == 1
+        assert executor.MEMO_BUDGET_BYTES == executor._MEMO.budget == 1 << 20
+
+    def test_lru_under_a_byte_budget(self):
+        memo = executor._PointMemo(budget=300)
+        blob = b"x" * 90
+        for key in ("k1", "k2", "k3"):
+            memo.put(key, blob)
+        assert len(memo) == 3 and memo.nbytes == 3 * 92
+        assert memo.get("k1") == blob  # k1 is now the most recent
+        memo.put("k4", blob)  # evicts k2, the least recently used
+        assert memo.get("k2") is None and memo.get("k1") == blob
+        assert memo.nbytes == 3 * 92
+        memo.put("big", b"y" * 400)  # larger than the budget: not kept
+        assert memo.get("big") is None and len(memo) == 3
+        memo.clear()
+        assert len(memo) == 0 and memo.nbytes == 0
+
+    def test_lru_accounting_survives_threads(self):
+        memo = executor._PointMemo(budget=2_000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def churn(t):
+            for i in range(400):
+                memo.put(f"k{(t * 7 + i) % 50}", bytes(10 + (i + t) % 30))
+                memo.get(f"k{i % 50}")
+
+        try:
+            threads = [threading.Thread(target=churn, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        held = sum(len(k) + len(v) for k, v in memo._blobs.items())
+        assert memo.nbytes == held <= memo.budget
+
+    def test_table4_replays_fig4_points(self, monkeypatch):
+        from repro.experiments import sweeps
+        from repro.experiments.registry import run_experiment
+
+        runs = []
+        real = sweeps.run_sample_sort
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "run_sample_sort", counting)
+        cold = run_experiment("table4", fast=True, seed=0).to_json_dict()["data"]
+        cold_points = len(runs)
+        executor.clear_memo()
+        run_experiment("fig4", fast=True, seed=0)
+        runs.clear()
+        warm = run_experiment("table4", fast=True, seed=0).to_json_dict()["data"]
+        assert cold_points - len(runs) == 36
+        assert warm == cold
