@@ -56,8 +56,9 @@ def _bench_point(task) -> tuple:
     """One sweep point; returns (comm_cycles, sim_events).
 
     Module-level so it pickles for --jobs > 1; mirrors
-    ``repro.experiments.sweeps._sweep_point_task`` but also reports the
-    kernel event count the events/sec metric needs.
+    ``repro.experiments.sweeps._sweep_point_task`` on a point whose
+    program it has not run yet (it never prices a recorded run), but
+    also reports the kernel event count the events/sec metric needs.
     """
     from repro.algorithms.samplesort import run_sample_sort
     from repro.qsmlib.program import RunConfig

@@ -20,7 +20,7 @@ on.  The program reports both via ``ctx.observe``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.algorithms.common import (
     profile_sort,
 )
 from repro.check.spec import phase_spec
-from repro.qsmlib import QSMMachine, RunConfig, RunResult, SharedArray
+from repro.qsmlib import PhaseTraffic, QSMMachine, RunConfig, RunResult, SharedArray
 from repro.util.validation import require
 
 
@@ -155,6 +155,8 @@ def sample_sort_program(ctx, S_in: SharedArray, S_out: SharedArray, params: Samp
 class SampleSortOutcome:
     result: np.ndarray
     run: RunResult
+    #: Each phase's traffic (what :func:`repro.qsmlib.price_run` needs).
+    traffic: List[PhaseTraffic]
 
 
 def run_sample_sort(
@@ -179,4 +181,4 @@ def run_sample_sort(
     S_in.data[:] = values
     S_out = qm.allocate("ss.out", n)
     run = qm.run(sample_sort_program, S_in=S_in, S_out=S_out, params=params)
-    return SampleSortOutcome(result=S_out.data.copy(), run=run)
+    return SampleSortOutcome(result=S_out.data.copy(), run=run, traffic=qm.traffic)

@@ -73,32 +73,52 @@ on resume (see docs/ROBUSTNESS.md).
 
 In-memory point memo
 --------------------
-Without a store, a point this process has already computed is replayed
-from memory rather than simulated again.  The §3.3 sweeps share one
-grid: fig5 repeats fig4's latency points and table4 repeats fig4's and
-fig6's, so ``all --fast`` simulates 114 of its 222 points.  The memo
-is process-wide: every :func:`parallel_map` call shares it (the
-``all``/``report`` loop, library callers, repeated
+Without a store, work this process has already done is not done again.
+The memo holds two kinds of entry in one LRU:
+
+* **point captures.**  A point this process already computed is
+  replayed rather than simulated again.  The §3.3 sweeps share one
+  grid: fig5 repeats fig4's latency points and table4 repeats fig4's
+  and fig6's;
+* **recorded runs.**  A sample-sort program already run for another
+  machine is priced rather than run again
+  (:func:`repro.qsmlib.price_run`): fig4–6 and table4 vary only ``l``
+  and ``o``, and fig8 only the topology, over the programs fig2 runs,
+  which changes the cost of each exchange and nothing else.  So ``all
+  --fast`` runs 35 qsmlib programs where it ran 116, and a layerbench
+  samplesort-sweeps unit 15 for its 96 simulated points.
+
+The memo is process-wide: every :func:`parallel_map` call shares it
+(the ``all``/``report`` loop, library callers, repeated
 ``registry.run_experiment`` calls).  Its contract:
 
 * it is used only when no store is installed and observability is
-  off.  Obs-on runs keep the plain loop, because merging per-point
-  metric captures is not bit-exact for histogram moments (see above);
-* the key is :func:`repro.store.point_key` over the task, with the
-  store's env (fault plan, sanitizer mode) plus the resolved sync path,
-  :func:`effective_jobs` and whether a policy is installed.  Paths and
-  job counts are bit-identical by contract, but keying them keeps
-  in-process epoch≡oracle and jobs-1≡N checks executing both sides;
+  off, and recorded runs only when no sanitizer is armed either, since
+  the sanitizer checks the half that pricing skips.  Obs-on runs keep
+  the plain loop, because merging per-point metric captures is not
+  bit-exact for histogram moments (see above);
+* a point's key is :func:`repro.store.point_key` over the task, with
+  the store's env (fault plan, sanitizer mode) plus the resolved sync
+  path, :func:`effective_jobs` and whether a policy is installed.
+  Paths and job counts are bit-identical by contract, but keying them
+  keeps in-process epoch≡oracle and jobs-1≡N checks executing both
+  sides.  A recorded run's key is ``n``, the run seed and the
+  :class:`~repro.qsmlib.RunConfig` with network, topology and fault
+  plan blanked (:meth:`~repro.qsmlib.RunConfig.recorded`): the inputs
+  of the program's half of the run;
 * only module-level functions are memoized: a closure, lambda, partial
   or callable instance can carry state no key sees, so it runs every
   time, as does a task whose key is not fully structural
   (``canonical(..., strict=True)`` raises, e.g. for an object printed
-  with its address, which a later object can reuse);
+  with its address, which a later object can reuse).  Recorded runs
+  are looked up inside the worker, so they serve any caller;
 * only successful points are kept, as pickled captures (result, fault
-  tally, sanitizer diagnostics) in an LRU of
-  :data:`MEMO_BUDGET_BYTES` (1 MiB) guarded by a lock.  Every capture
-  of ``all --fast`` totals ~0.9 MiB: a fig3 run record is ~90 KB, a
-  sweep point ~29 B;
+  tally, sanitizer diagnostics), and recorded runs as zlib-compressed
+  pickles (a sample-sort run with its traffic: 28.3 KB, ~2 KB
+  compressed), in an LRU of :data:`MEMO_BUDGET_BYTES` (1 MiB) guarded
+  by a lock.  An entry above :data:`MEMO_ENTRY_CAP_BYTES` (64 KiB) is
+  not kept: one ~90 KB fig3 run record would displace ~1,000 sweep
+  points.  :func:`clear_memo` forgets both kinds;
 * hits touch no ``repro.store`` counter or listener.  A replayed point's
   sanitizer warnings count in the summary but are not printed again.
 """
@@ -112,6 +132,7 @@ import sys
 import threading
 import time
 import types
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -137,6 +158,7 @@ __all__ = [
     "drain_failures",
     "is_failed",
     "clear_memo",
+    "recorded_run",
 ]
 
 
@@ -550,6 +572,9 @@ def _cached_map(fn: Callable[[T], R], tasks: List[T], jobs: Optional[int]) -> Li
 #: Byte budget of the point memo: pickled captures plus their keys.
 MEMO_BUDGET_BYTES = 1 << 20
 
+#: Largest entry (key plus blob) the memo keeps.
+MEMO_ENTRY_CAP_BYTES = MEMO_BUDGET_BYTES // 16
+
 
 class _PointMemo:
     """LRU of pickled point captures under a byte budget.
@@ -598,8 +623,40 @@ _MEMO = _PointMemo(MEMO_BUDGET_BYTES)
 
 
 def clear_memo() -> None:
-    """Forget every memoized point."""
+    """Forget every memoized point and recorded run."""
     _MEMO.clear()
+
+
+def _keep(key: str, blob: bytes) -> None:
+    """Keep one entry, unless it is above the entry cap."""
+    if len(key) + len(blob) <= MEMO_ENTRY_CAP_BYTES:
+        _MEMO.put(key, blob)
+
+
+def recorded_run(name: str, parts: Any, record: Callable[[], T]) -> Tuple[T, bool]:
+    """The recorded run of program *name* on *parts*, and whether
+    *record* was called to make it.
+
+    A run this process already recorded is recalled from the memo;
+    otherwise ``record()`` runs the program and its result is kept.
+    Nothing is recalled or kept while a store is installed,
+    observability is on or a sanitizer is armed, or when *parts* has no
+    fully structural form.
+    """
+    key = None
+    if result_store.active_store() is None and not obs.enabled() and not check.armed():
+        try:
+            key = result_store.point_key(f"recorded:{name}", parts, strict=True)
+        except result_store.NotStructural:
+            pass
+    if key is not None:
+        blob = _MEMO.get(key)
+        if blob is not None:
+            return pickle.loads(zlib.decompress(blob)), False
+    recorded = record()
+    if key is not None:
+        _keep(key, zlib.compress(pickle.dumps(recorded, protocol=pickle.HIGHEST_PROTOCOL)))
+    return recorded, True
 
 
 def _module_level(fn: Callable) -> bool:
@@ -655,7 +712,7 @@ def _memo_map(
                 blob = pickle.dumps(entry[1], protocol=pickle.HIGHEST_PROTOCOL)
             except (pickle.PicklingError, TypeError, AttributeError):
                 return  # an unpicklable result simply runs again
-            _MEMO.put(keys[i], blob)
+            _keep(keys[i], blob)
 
     held = _hold_side_state()
     try:

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-import numpy as np
-
-from repro.algorithms.samplesort import run_sample_sort
 from repro.experiments.base import (
     ExperimentResult,
     drop_failed,
@@ -28,6 +25,7 @@ from repro.experiments.base import (
     reps_for,
 )
 from repro.experiments.executor import parallel_map
+from repro.experiments.sweeps import sample_sort_run
 from repro.machine.config import MachineConfig, Topology
 from repro.predict import PAPER_MODELS, make_source, predict_point, resolve_models
 from repro.qsmlib import QSMMachine, RunConfig
@@ -45,13 +43,8 @@ def _fig2_point_task(task) -> tuple:
     travels back to the parent, where every requested model — including
     the observed-skew ones — is priced uniformly.
     """
-    machine, n, run_seed = task
-    rng = np.random.default_rng(run_seed)
-    out = run_sample_sort(
-        rng.integers(0, 2**62, size=n),
-        RunConfig(machine=machine, seed=run_seed, check_semantics=False),
-    )
-    return out.run.comm_cycles, out.run.total_cycles, out.run
+    run = sample_sort_run(*task)
+    return run.comm_cycles, run.total_cycles, run
 
 
 def run(

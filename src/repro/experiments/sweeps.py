@@ -5,6 +5,9 @@ hardware latency ``l`` or per-message overhead ``o`` is overridden,
 keeping everything else at the Table 2/3 defaults — exactly the §3.3
 methodology ("we vary l, the hardware latency, over a range of values
 and compare the measured performance against QSM's predictions").
+Neither parameter changes what the program does, only what its
+exchanges cost, so a process runs each (n, seed) program once and
+prices it on every machine (:func:`sample_sort_run`).
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ import numpy as np
 from repro.algorithms.samplesort import run_sample_sort
 from repro.analysis.crossover import DEFAULT_BAND, band_crossover_from_predictions
 from repro.experiments.base import mean_std_robust
-from repro.experiments.executor import parallel_map
+from repro.experiments.executor import parallel_map, recorded_run
 from repro.machine.config import MachineConfig
 from repro.predict import get_model, make_source, predict_point, resolve_models
-from repro.qsmlib import QSMMachine, RunConfig
+from repro.qsmlib import QSMMachine, RunConfig, RunResult, price_run
 
 FULL_SWEEP_NS = [4096, 8192, 16384, 32768, 65536, 125000, 250000, 500000]
 FAST_SWEEP_NS = [4096, 16384, 65536, 250000]
@@ -111,6 +114,29 @@ def band_exceedances(
     return exceed, f"fault-injected band exceedance (max measured/whp): {rendered}"
 
 
+def sample_sort_run(machine: MachineConfig, n: int, run_seed: int) -> RunResult:
+    """The run of one sample-sort point: *n* keys drawn from *run_seed*,
+    sorted on *machine*.
+
+    The program's half of the run depends on *n* and the config's
+    :meth:`~repro.qsmlib.RunConfig.recorded` part (which carries the
+    seed) alone.  When this process has already run the program for
+    another machine, and the executor's memo allows it
+    (:func:`~repro.experiments.executor.recorded_run`), the recorded
+    run is priced on this one (:func:`~repro.qsmlib.price_run`) instead
+    of run again; the result is the same.
+    """
+    config = RunConfig(machine=machine, seed=run_seed, check_semantics=False)
+
+    def record():
+        rng = np.random.default_rng(run_seed)
+        out = run_sample_sort(rng.integers(0, 2**62, size=n), config)
+        return out.run, out.traffic
+
+    (run, traffic), ran = recorded_run("sample_sort", (n, config.recorded()), record)
+    return run if ran else price_run(run, traffic, config)
+
+
 def _sweep_point_task(task) -> float:
     """Worker for one (machine, n, run_seed) grid point.
 
@@ -118,13 +144,7 @@ def _sweep_point_task(task) -> float:
     carries the derived seed, making output independent of which worker
     (or which process) runs the point.
     """
-    machine, n, run_seed = task
-    rng = np.random.default_rng(run_seed)
-    out = run_sample_sort(
-        rng.integers(0, 2**62, size=n),
-        RunConfig(machine=machine, seed=run_seed, check_semantics=False),
-    )
-    return out.run.comm_cycles
+    return sample_sort_run(*task).comm_cycles
 
 
 def _point_tasks(machine: MachineConfig, ns: Sequence[int], reps: int, seed: int) -> List[tuple]:

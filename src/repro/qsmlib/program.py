@@ -12,19 +12,29 @@ simulator (where ``g``, ``o``, ``l`` and the software layer act), then
 applies the bulk-synchronous memory semantics and resumes the programs.
 The result is a :class:`~repro.qsmlib.stats.RunResult` with per-phase
 measurements — the raw material of every figure in §3.
+
+A run has two halves.  The *recorded* half — the program generators,
+compute charges, observations, :func:`~repro.qsmlib.plan.build_traffic`
+and :func:`~repro.qsmlib.plan.apply_phase_semantics` — reads only the
+inputs, the seed, ``p`` and the node and software configs.  The
+*priced* half, :meth:`SyncEngine.execute_phase
+<repro.qsmlib.runtime.SyncEngine.execute_phase>`, is the only place the
+network, the topology and the fault plan act.  :meth:`QSMMachine.run`
+keeps each phase's traffic, so :func:`price_run` can price a recorded
+run on another machine without running its program again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import check
 from repro import faults as _faults
 from repro.machine.cluster import Machine
-from repro.machine.config import MachineConfig
+from repro.machine.config import FlatTopology, MachineConfig, NetworkConfig
 from repro.msg.mp import make_endpoints
 from repro.qsmlib.address_space import AddressSpace, SharedArray
 from repro.qsmlib.config import SoftwareConfig
@@ -32,6 +42,7 @@ from repro.qsmlib.context import QSMContext, SharedArrayRef, SyncToken
 from repro.qsmlib.costmodel import CommCostModel
 from repro.qsmlib.layout import Layout
 from repro.qsmlib.plan import (
+    PhaseTraffic,
     apply_phase_semantics,
     build_traffic,
     check_phase_semantics,
@@ -54,6 +65,16 @@ class RunConfig:
     #: Record QSM's kappa each phase (costs one pass over touched words).
     track_kappa: bool = False
 
+    def recorded(self) -> "RunConfig":
+        """This config with the fields only the priced half reads — the
+        network, the topology and the fault plan — reset.  Runs of one
+        program on configs with equal ``recorded()`` differ only in
+        their pricing, so :func:`price_run` can serve one from another."""
+        machine = replace(
+            self.machine, network=NetworkConfig(), topology=FlatTopology(), faults=None
+        )
+        return replace(self, machine=machine)
+
 
 class SPMDError(RuntimeError):
     """The per-processor programs did not stay in lock-step."""
@@ -69,7 +90,6 @@ class QSMMachine:
         # draws its own reproducible fault schedule.
         self.machine = Machine(self.config.machine, fault_salt=self.config.seed)
         self.space = AddressSpace(self.p, default_salt=self.config.seed)
-        self.rngs = RngStreams(self.config.seed, self.p)
         self._endpoints = make_endpoints(self.machine.network)
         self._engine = SyncEngine(self.machine, self._endpoints, self.config.software)
         # Fetched once per machine; None when disarmed (the usual case),
@@ -78,6 +98,9 @@ class QSMMachine:
         # alongside either sync path.
         self._sanitizer = check.active()
         self._ran = False
+        #: Each executed phase's traffic, in phase order: with the
+        #: :class:`RunResult`, what :func:`price_run` needs.
+        self.traffic: List[PhaseTraffic] = []
 
     # ------------------------------------------------------------------
     def allocate(
@@ -111,10 +134,10 @@ class QSMMachine:
         self._ran = True
 
         p = self.p
-        ctxs = [
-            QSMContext(self.space, pid, self.rngs[pid], self.machine.cpus[pid])
-            for pid in range(p)
-        ]
+        # Drawn here rather than in __init__: a machine built only to
+        # price a recorded run (price_run) never needs them.
+        rngs = RngStreams(self.config.seed, p)
+        ctxs = [QSMContext(self.space, pid, rngs[pid], self.machine.cpus[pid]) for pid in range(p)]
         if self._sanitizer is not None:
             for ctx in ctxs:
                 ctx.queue.sanitizer = self._sanitizer
@@ -175,6 +198,18 @@ class QSMMachine:
             phase_idx += 1
 
         result.trailing_compute_cycles = float(trailing.max()) if p else 0.0
+        return self._finish(result)
+
+    def _price_phase(self, record: PhaseRecord, traffic: PhaseTraffic) -> None:
+        """Run the sync protocol for one phase on this machine and stamp
+        its timings on *record* (the one pricing step shared by
+        :meth:`run` and :func:`price_run`)."""
+        timing = self._engine.execute_phase(traffic, record.compute_cycles, traffic.local_words)
+        record.start, record.ready, record.end = timing.start, timing.ready, timing.end
+        self.traffic.append(traffic)
+
+    def _finish(self, result: RunResult) -> RunResult:
+        """Close a run: event count, observer label and fault tally."""
         result.sim_events = self.machine.sim.event_count
         obs = self.machine.sim.obs
         if obs is not None:
@@ -210,12 +245,7 @@ class QSMMachine:
                 result.observations.setdefault(key, []).append((phase_idx, pid, value))
 
         traffic = build_traffic(queues, p)
-        timing = self._engine.execute_phase(traffic, compute_cycles, traffic.local_words)
-        apply_phase_semantics(queues)
-        for q in queues:
-            q.clear()
-
-        return PhaseRecord(
+        record = PhaseRecord(
             index=phase_idx,
             compute_cycles=compute_cycles,
             op_counts=op_counts,
@@ -225,10 +255,12 @@ class QSMMachine:
             kappa=kappa,
             put_in_words=traffic.put_words.sum(axis=0),
             get_served_words=traffic.get_words.sum(axis=0),
-            start=timing.start,
-            ready=timing.ready,
-            end=timing.end,
         )
+        self._price_phase(record, traffic)
+        apply_phase_semantics(queues)
+        for q in queues:
+            q.clear()
+        return record
 
     def _resolve_allocs(self, ctxs: List[QSMContext]) -> None:
         """Collectively register arrays requested via ctx.alloc this phase."""
@@ -292,3 +324,41 @@ def run_program(
             raise ValueError(f"setup() and caller both supplied kwargs: {sorted(overlap)}")
         program_kwargs = {**program_kwargs, **extra}
     return qm.run(program, **program_kwargs)
+
+
+def price_run(
+    recorded: RunResult, traffic: Sequence[PhaseTraffic], config: RunConfig
+) -> RunResult:
+    """The run *recorded* would have been on *config*'s machine.
+
+    *recorded* and *traffic* (its machine's :attr:`QSMMachine.traffic`)
+    come from a run whose config has the same :meth:`RunConfig.recorded`
+    part as *config*; only the priced half runs again, on a fresh
+    machine.  The result equals a fresh run on *config* field for field,
+    ``sim_events``, fault tally and ``qsm.*`` spans included, and shares
+    the recorded run's arrays and observed values.  The recorded half's
+    checks (semantics, sanitizer) are not repeated.
+    """
+    if recorded.p != config.machine.p or recorded.seed != config.seed:
+        raise ValueError(
+            f"a run recorded at p={recorded.p}, seed={recorded.seed} cannot be "
+            f"priced at p={config.machine.p}, seed={config.seed}"
+        )
+    if len(traffic) != recorded.n_phases:
+        raise ValueError(
+            f"{len(traffic)} phases of traffic for a run of {recorded.n_phases} phases"
+        )
+    qm = QSMMachine(config)
+    qm._ran = True
+    result = RunResult(
+        p=recorded.p,
+        seed=recorded.seed,
+        returns=list(recorded.returns),
+        observations={key: list(values) for key, values in recorded.observations.items()},
+        trailing_compute_cycles=recorded.trailing_compute_cycles,
+    )
+    for phase, phase_traffic in zip(recorded.phases, traffic):
+        record = replace(phase)
+        qm._price_phase(record, phase_traffic)
+        result.phases.append(record)
+    return qm._finish(result)

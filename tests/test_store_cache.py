@@ -7,7 +7,8 @@ hit/miss/coalesced counters surface through repro.store and repro.obs;
 key invalidation covers the version salt, the armed fault plan and the
 obs and sanitizer modes.  ``TestProcessMemo`` pins, clause by clause,
 the in-memory memo that replays points when no store is installed
-(the executor's module docstring).
+(the executor's module docstring), and ``TestRecordedRuns`` the
+recorded sample-sort runs that memo prices on other machines.
 """
 
 import functools
@@ -15,6 +16,7 @@ import os
 import pickle
 import sys
 import threading
+import zlib
 
 import pytest
 
@@ -25,7 +27,11 @@ from repro.experiments.executor import (
     is_failed,
     parallel_map,
 )
+from repro.experiments.sweeps import sample_sort_run
+from repro.faults.plan import FaultPlan
+from repro.machine.config import ClusterTopology, MachineConfig, NodeConfig
 from tests.test_parallel_executor import _racy_point
+from tests.test_price_differential import assert_same_run
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +90,12 @@ def _counted_list(x):
     """Returns a mutable result."""
     _counted_square(x)
     return [x]
+
+
+def _counted_bytes(size):
+    """Returns a result whose capture is larger than *size* bytes."""
+    _counted_square(size)
+    return bytes(size)
 
 
 def _counted_tag(task):
@@ -420,23 +432,147 @@ class TestProcessMemo:
         held = sum(len(k) + len(v) for k, v in memo._blobs.items())
         assert memo.nbytes == held <= memo.budget
 
-    def test_table4_replays_fig4_points(self, monkeypatch):
-        from repro.experiments import sweeps
+    def test_over_cap_capture_is_not_kept(self, count_file):
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        held = (len(executor._MEMO), executor._MEMO.nbytes)
+        big = executor.MEMO_ENTRY_CAP_BYTES
+        assert executor.MEMO_ENTRY_CAP_BYTES == executor.MEMO_BUDGET_BYTES // 16
+        for _ in range(2):
+            assert parallel_map(_counted_bytes, [big], jobs=1) == [bytes(big)]
+        assert _executions() == 2 + 2  # the big point ran both times
+        assert (len(executor._MEMO), executor._MEMO.nbytes) == held  # evicting nothing
+        parallel_map(_counted_square, [1, 2], jobs=1)
+        assert _executions() == 4
+
+    def test_table4_replays_fig4_points(self, sample_sort_calls):
         from repro.experiments.registry import run_experiment
 
-        runs = []
-        real = sweeps.run_sample_sort
-
-        def counting(*args, **kwargs):
-            runs.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sweeps, "run_sample_sort", counting)
         cold = run_experiment("table4", fast=True, seed=0).to_json_dict()["data"]
-        cold_points = len(runs)
+        assert sample_sort_calls == {"runs": 12, "prices": 60}  # 12 programs, 72 points
+        cold_points = sum(sample_sort_calls.values())
         executor.clear_memo()
         run_experiment("fig4", fast=True, seed=0)
-        runs.clear()
+        sample_sort_calls.clear()
         warm = run_experiment("table4", fast=True, seed=0).to_json_dict()["data"]
-        assert cold_points - len(runs) == 36
+        assert cold_points - sum(sample_sort_calls.values()) == 36
         assert warm == cold
+
+
+@pytest.fixture
+def sample_sort_calls(monkeypatch):
+    """Counts the sample-sort programs the sweeps run (``runs``) and the
+    recorded runs they price instead (``prices``)."""
+    from repro.experiments import sweeps
+
+    calls = {}
+
+    def counting(name, real):
+        def spy(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(sweeps, "run_sample_sort", counting("runs", sweeps.run_sample_sort))
+    monkeypatch.setattr(sweeps, "price_run", counting("prices", sweeps.price_run))
+    return calls
+
+
+class TestRecordedRuns:
+    """Without a store, a sample-sort program runs once per process and
+    is priced on every machine that differs only in what pricing reads."""
+
+    N = 4096
+
+    def _point(self, machine=None, n=N, seed=1):
+        return sample_sort_run(machine or MachineConfig(), n, seed)
+
+    @pytest.mark.parametrize("change", ["n", "seed", "p", "node", "software"])
+    def test_program_inputs_run_it_again(self, change, sample_sort_calls, monkeypatch):
+        self._point()
+        if change == "n":
+            self._point(n=self.N + 1)
+        elif change == "seed":
+            self._point(seed=2)
+        elif change == "p":
+            self._point(MachineConfig(p=8))
+        elif change == "node":
+            self._point(MachineConfig(node=NodeConfig(issue_width=2)))
+        else:
+            monkeypatch.setenv("QSM_SYNC_PATH", "slow")
+            self._point()
+        assert sample_sort_calls == {"runs": 2}
+
+    @pytest.mark.parametrize("change", ["l", "o", "g", "topology", "faults"])
+    def test_priced_inputs_reuse_the_recorded_run(self, change, sample_sort_calls):
+        base = MachineConfig()
+        machine = {
+            "l": base.with_network(latency_cycles=25600.0),
+            "o": base.with_network(overhead_cycles=100.0),
+            "g": base.with_network(gap_cycles_per_byte=12.0),
+            "topology": base.with_topology(ClusterTopology(cores_per_node=4)),
+            "faults": base.with_faults(FaultPlan(seed=3, drop_prob=0.05)),
+        }[change]
+        self._point()
+        faults.reset_tally()
+        priced = self._point(machine)
+        priced_tally = faults.drain_tally()
+        assert sample_sort_calls == {"runs": 1, "prices": 1}
+        executor.clear_memo()
+        fresh = self._point(machine)
+        assert faults.drain_tally() == priced_tally
+        assert bool(priced_tally) == (change == "faults")
+        assert sample_sort_calls == {"runs": 2, "prices": 1}
+        assert_same_run(priced, fresh)
+
+    def test_armed_fault_plan_reuses_the_recorded_run(self, sample_sort_calls):
+        self._point()
+        faults.arm("drop=0.05,seed=3")
+        try:
+            priced = self._point()
+            priced_tally = faults.drain_tally()
+            executor.clear_memo()
+            fresh = self._point()
+            assert faults.drain_tally() == priced_tally and priced_tally
+        finally:
+            faults.disarm()
+        assert sample_sort_calls == {"runs": 2, "prices": 1}
+        assert_same_run(priced, fresh)
+
+    @pytest.mark.parametrize("state", ["store", "obs", "sanitizer"])
+    def test_no_reuse_when_the_memo_is_off(self, state, tmp_path, sample_sort_calls):
+        if state == "store":
+            store.set_store(tmp_path / "cas")
+        elif state == "obs":
+            obs.enable()
+        else:
+            check.arm("warn")
+        try:
+            self._point()
+            self._point(MachineConfig().with_network(latency_cycles=400.0))
+        finally:
+            obs.disable()
+            check.disarm()
+            store.clear_store()
+        assert sample_sort_calls == {"runs": 2}
+        assert len(executor._MEMO) == 0
+
+    def test_held_compressed_and_forgotten_on_clear(self, sample_sort_calls):
+        run = self._point()
+        assert len(executor._MEMO) == 1
+        (key, blob), = executor._MEMO._blobs.items()
+        recorded, traffic = pickle.loads(zlib.decompress(blob))
+        assert len(traffic) == recorded.n_phases == run.n_phases == 5
+        assert len(blob) * 4 < len(zlib.decompress(blob))
+        assert executor._MEMO.nbytes == len(key) + len(blob) <= executor.MEMO_ENTRY_CAP_BYTES
+        executor.clear_memo()
+        self._point()
+        assert sample_sort_calls == {"runs": 2}
+
+    def test_sample_sort_sweeps_run_15_programs_for_96_points(self, sample_sort_calls):
+        from repro.experiments.registry import run_experiment
+
+        for exp in ("fig2", "fig4", "fig8", "table4"):
+            run_experiment(exp, fast=True, seed=0)
+        assert sample_sort_calls["runs"] == 15
+        assert sample_sort_calls["runs"] + sample_sort_calls["prices"] == 96
