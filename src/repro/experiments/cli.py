@@ -32,7 +32,12 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    MEASURED_RUN_EXPERIMENTS,
+    accepts_keyword,
+    run_experiment,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -664,17 +669,43 @@ def _resolve_topology_arg(args):
 
 
 def _resolve_models_arg(args) -> Optional[List[str]]:
-    """Validate ``--models`` against the registry before any work runs."""
+    """Validate ``--models`` against the registry and the experiments the
+    command runs, before any work runs: an ``observed``-scenario model
+    prices measured runs, which only some experiments pass it."""
     spec = getattr(args, "models", None)
     if not spec:
         return None
-    from repro.predict import resolve_models
+    from repro.predict import get_model, resolve_models
+    from repro.predict.engine import OBSERVED_SCENARIO
 
     try:
-        return resolve_models(spec)
+        models = resolve_models(spec)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+    observed = [name for name in models if get_model(name).scenario == OBSERVED_SCENARIO]
+    if observed:
+        if args.command == "all":
+            ids = sorted(EXPERIMENTS)
+        elif args.command == "report":
+            ids = args.only or sorted(EXPERIMENTS)
+        else:
+            ids = [args.experiment]
+        unmeasured = [
+            exp_id
+            for exp_id in ids
+            if exp_id not in MEASURED_RUN_EXPERIMENTS
+            and accepts_keyword(EXPERIMENTS[exp_id], "models")
+        ]
+        if unmeasured:
+            print(
+                f"error: --models {','.join(observed)} needs measured runs, and "
+                f"{', '.join(unmeasured)} record none; observed models run only "
+                f"with {', '.join(MEASURED_RUN_EXPERIMENTS)}",
+                file=sys.stderr,
+            )
+            raise SystemExit(2)
+    return models
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -36,6 +36,10 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig8": fig8_topology.run,
 }
 
+#: Experiments whose prediction lines price the runs they measure: the
+#: only ones that can evaluate ``observed``-scenario models.
+MEASURED_RUN_EXPERIMENTS = ("fig1", "fig2", "fig3")
+
 
 def get_experiment(exp_id: str) -> Callable[..., ExperimentResult]:
     try:

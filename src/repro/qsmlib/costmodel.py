@@ -350,24 +350,25 @@ class _MixedCostModel:
 
 
 @dataclass
-class BurstSchedule:
-    """One sender's precomputed chunk stream for one exchange stage.
+class StageChunks:
+    """One exchange stage's chunk streams, every sender's in pid order.
 
-    Parallel lists, one element per wire chunk in injection order:
-    destination pid, CPU gap charged before the chunk (marshalling; only
-    the first chunk of each message carries it), send-NIC occupancy, and
-    receive-NIC hold.  All plain Python lists of floats/ints: the kernel
-    folds them with sequential scalar adds into heap tuples, and a
-    ``.tolist()`` here is cheaper than per-element ``np.float64`` boxing
-    there.
+    Parallel lists, one element per wire chunk: destination pid, CPU gap
+    charged before the chunk (marshalling; only the first chunk of each
+    message carries it), send-NIC occupancy and receive-NIC hold.  Sender
+    *pid* injects chunks ``offsets[pid]:offsets[pid + 1]`` in that order.
+    All plain Python lists: the kernel folds them with sequential scalar
+    adds, and a ``.tolist()`` here is cheaper than per-element
+    ``np.float64`` boxing there.
     """
 
     dsts: list
     gaps: list
     occupancy: list
     holds: list
-    total_bytes: int
-    count: int
+    offsets: list
+    #: Header plus payload bytes each sender injects.
+    sender_bytes: list
     #: Per-chunk wire latencies and receive-queue indices (cluster
     #: topology only; ``None`` means the flat network's single latency
     #: and queue == destination pid).  A queue index >= p addresses the
@@ -380,21 +381,21 @@ class BurstSchedule:
 class EpochTables:
     """Everything the epoch kernel needs to replay one phase.
 
-    Indexed by pid throughout.  ``None`` entries in the send lists mean
-    that sender injects nothing in that stage.
+    Indexed by pid throughout.  A ``None`` stage means no sender injects
+    anything in it.
     """
 
     p: int
     #: Entry bookkeeping charged after compute (sync_fixed + local words).
     entry_overhead: np.ndarray
-    #: Plan stage: every node sends p-1 equal-size messages.
+    #: Plan stage: every node sends one equal-size message to each of
+    #: the other p-1, in its peer order (priced per tier on a cluster).
+    plan: StageChunks
+    #: The flat network's send occupancy of one plan message.
     plan_occupancy: float
-    plan_hold: float
-    plan_dsts: list
-    plan_bytes: int
     #: Data stage (puts + get requests), then reply stage (get replies).
-    data_sends: list
-    reply_sends: list
+    data: Optional[StageChunks]
+    reply: Optional[StageChunks]
     #: Chunks each receiver waits for per stage (column sums).
     expected_data: list
     expected_reply: list
@@ -410,9 +411,6 @@ class EpochTables:
     #: ``node_of[pid]`` maps a core to its node; receive queues are
     #: ``p`` core engines followed by ``n_nodes`` shared node wires.
     node_of: Optional[list] = None
-    #: Per-pid plan-stage chunk streams (tier-priced; replaces the
-    #: uniform plan_occupancy/plan_hold scalars).
-    plan_sends: Optional[list] = None
     #: Barrier control (occupancy, hold, latency) per tier.
     control_intra: Optional[tuple] = None
     control_inter: Optional[tuple] = None
@@ -426,6 +424,23 @@ def _peer_matrix(p: int, schedule: str) -> np.ndarray:
         return (np.arange(p)[:, None] + np.arange(1, p)[None, :]) % p
     base = np.tile(np.arange(p), (p, 1))
     return base[base != np.arange(p)[:, None]].reshape(p, p - 1)
+
+
+#: Per (p, exchange schedule): the peer matrix, then the plan stage's
+#: destinations and sender offsets as lists.  Built on first use and
+#: shared read-only by every phase.
+_PEERS: dict = {}
+
+
+def _peers(p: int, schedule: str) -> tuple:
+    key = (p, schedule)
+    found = _PEERS.get(key)
+    if found is None:
+        perm = _peer_matrix(p, schedule)
+        perm.flags.writeable = False
+        offsets = [(p - 1) * pid for pid in range(p + 1)]
+        found = _PEERS[key] = (perm, perm.ravel().tolist(), offsets)
+    return found
 
 
 class _TierMatrices:
@@ -460,15 +475,15 @@ class _TierMatrices:
         self.n_nodes = int(node_of[-1]) + 1
 
 
-def _burst_schedules(words, gap_m, wire_m, perm, sw, network, tier=None):
-    """Flatten per-pair (words, gap, wire) matrices into per-sender
+def _stage_chunks(words, gap_m, wire_m, perm, sw, network, tier=None):
+    """Flatten per-pair (words, gap, wire) matrices into one stage's
     chunk streams plus the per-receiver expected chunk counts.
 
     All senders' streams are built in one batch of whole-matrix passes
-    (row-major order == each sender's injection order) and then sliced
-    per pid, rather than re-running the small-array pipeline p times.
-    With a :class:`_TierMatrices` *tier*, every per-chunk charge is
-    looked up per (src, dst) pair instead of the flat scalars.
+    (row-major order == each sender's injection order).  With a
+    :class:`_TierMatrices` *tier*, every per-chunk charge is looked up
+    per (src, dst) pair instead of the flat scalars.  Returns ``None``
+    for a stage without chunks.
     """
     p = words.shape[0]
     hdr = sw.message_header_bytes
@@ -483,7 +498,7 @@ def _burst_schedules(words, gap_m, wire_m, perm, sw, network, tier=None):
     pid_chunks = cnt_o.sum(axis=1)
     total = int(pid_chunks.sum())
     if total == 0:
-        return [None] * p, expected
+        return None, expected
     # Messages without a wire chunk get no entry (their marshal gap has
     # no chunk to ride on), so select on chunk count rather than word
     # count.  Boolean row-major selection keeps every sender's message
@@ -516,32 +531,22 @@ def _burst_schedules(words, gap_m, wire_m, perm, sw, network, tier=None):
         hold_list = (tier.ho[src_rep, dst_rep] + nbytes * tier.hg[src_rep, dst_rep]).tolist()
         lat_list = tier.lat[src_rep, dst_rep].tolist()
         queue_list = tier.queue[src_rep, dst_rep].tolist()
-    dst_list = dst_rep.tolist()
-    gap_list = gaps.tolist()
     # Per-sender totals: header bytes per chunk plus the row's wire
     # bytes (zero-chunk messages have zero wire bytes, so row sums over
     # the full matrix are exact).
-    row_bytes = wire_m.sum(axis=1) + hdr * pid_chunks
-    offsets = np.concatenate(([0], np.cumsum(pid_chunks))).tolist()
-    sends = []
-    for pid in range(p):
-        lo, hi = offsets[pid], offsets[pid + 1]
-        if lo == hi:
-            sends.append(None)
-            continue
-        sends.append(
-            BurstSchedule(
-                dsts=dst_list[lo:hi],
-                gaps=gap_list[lo:hi],
-                occupancy=occ_list[lo:hi],
-                holds=hold_list[lo:hi],
-                total_bytes=int(row_bytes[pid]),
-                count=hi - lo,
-                lats=None if lat_list is None else lat_list[lo:hi],
-                queues=None if queue_list is None else queue_list[lo:hi],
-            )
-        )
-    return sends, expected
+    sender_bytes = (wire_m.sum(axis=1) + hdr * pid_chunks).tolist()
+    offsets = [0] + np.cumsum(pid_chunks).tolist()
+    stage = StageChunks(
+        dsts=dst_rep.tolist(),
+        gaps=gaps.tolist(),
+        occupancy=occ_list,
+        holds=hold_list,
+        offsets=offsets,
+        sender_bytes=sender_bytes,
+        lats=lat_list,
+        queues=queue_list,
+    )
+    return stage, expected
 
 
 def build_epoch_tables(
@@ -575,13 +580,13 @@ def build_epoch_tables(
         marshal + wb * rate_res
     )
 
-    perm = _peer_matrix(p, sw.exchange_schedule)
+    perm, plan_dsts, plan_offsets = _peers(p, sw.exchange_schedule)
 
     # -- data stage: puts + get requests, sender pid -> dst ------------
     words_d = put_w + get_w
     gap_d = words_d * marshal + (put_w * wb) * rate
     wire_d = put_w * (rh + wb) + get_w * rh
-    data_sends, expected_data = _burst_schedules(
+    data, expected_data = _stage_chunks(
         words_d, gap_d, wire_d, perm, sw, network, tier=tier
     )
     unm_d = words_d * unmarshal + (put_w * wb) * rate + get_w * sw.get_service_cycles
@@ -591,38 +596,44 @@ def build_epoch_tables(
     words_r = get_w.T
     gap_r = words_r * marshal + (words_r * wb) * rate
     wire_r = words_r * (rh + wb)
-    reply_sends, expected_reply = _burst_schedules(
+    reply, expected_reply = _stage_chunks(
         words_r, gap_r, wire_r, perm, sw, network, tier=tier
     )
     unm_r = words_r * unmarshal + (words_r * wb) * rate
     unmarshal_reply = np.cumsum(unm_r, axis=0)[-1].tolist()
 
     plan_bytes = sw.message_header_bytes + sw.plan_entry_bytes
+    plan_occupancy = network.message_send_cycles(plan_bytes)
     from repro.msg.collectives import CONTROL_BYTES
 
+    sent = p * (p - 1)
     node_of = None
-    plan_sends = None
     control_intra = None
     control_inter = None
-    if tier is not None:
+    if tier is None:
+        plan = StageChunks(
+            dsts=plan_dsts,
+            gaps=[0.0] * sent,
+            occupancy=[plan_occupancy] * sent,
+            holds=[network.message_recv_cycles(plan_bytes)] * sent,
+            offsets=plan_offsets,
+            sender_bytes=[(p - 1) * plan_bytes] * p,
+        )
+    else:
         node_of = tier.node_of.tolist()
-        # Plan stage: p-1 equal-size gapless messages per sender, each
-        # priced at its pair's tier (the DES's per-entry o + bytes·g).
-        plan_sends = []
-        for pid in range(p):
-            row = perm[pid]
-            plan_sends.append(
-                BurstSchedule(
-                    dsts=row.tolist(),
-                    gaps=[0.0] * (p - 1),
-                    occupancy=(tier.o[pid, row] + plan_bytes * tier.g[pid, row]).tolist(),
-                    holds=(tier.ho[pid, row] + plan_bytes * tier.hg[pid, row]).tolist(),
-                    total_bytes=(p - 1) * plan_bytes,
-                    count=p - 1,
-                    lats=tier.lat[pid, row].tolist(),
-                    queues=tier.queue[pid, row].tolist(),
-                )
-            )
+        # Each plan message priced at its pair's tier (the DES's
+        # per-entry o + bytes·g).
+        rows = np.arange(p)[:, None]
+        plan = StageChunks(
+            dsts=plan_dsts,
+            gaps=[0.0] * sent,
+            occupancy=(tier.o[rows, perm] + plan_bytes * tier.g[rows, perm]).ravel().tolist(),
+            holds=(tier.ho[rows, perm] + plan_bytes * tier.hg[rows, perm]).ravel().tolist(),
+            offsets=plan_offsets,
+            sender_bytes=[(p - 1) * plan_bytes] * p,
+            lats=tier.lat[rows, perm].ravel().tolist(),
+            queues=tier.queue[rows, perm].ravel().tolist(),
+        )
         topo = topology
         wire = topo.node_wire_gap_cycles_per_byte
         wire_gap = network.gap_cycles_per_byte if wire is None else wire
@@ -640,12 +651,10 @@ def build_epoch_tables(
     return EpochTables(
         p=p,
         entry_overhead=entry_overhead,
-        plan_occupancy=network.message_send_cycles(plan_bytes),
-        plan_hold=network.message_recv_cycles(plan_bytes),
-        plan_dsts=[row.tolist() for row in perm],
-        plan_bytes=plan_bytes,
-        data_sends=data_sends,
-        reply_sends=reply_sends,
+        plan=plan,
+        plan_occupancy=plan_occupancy,
+        data=data,
+        reply=reply,
         expected_data=expected_data,
         expected_reply=expected_reply,
         unmarshal_data=unmarshal_data,
@@ -653,7 +662,6 @@ def build_epoch_tables(
         control_occupancy=network.message_send_cycles(CONTROL_BYTES),
         control_hold=network.message_recv_cycles(CONTROL_BYTES),
         node_of=node_of,
-        plan_sends=plan_sends,
         control_intra=control_intra,
         control_inter=control_inter,
     )

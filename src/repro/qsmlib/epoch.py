@@ -1,4 +1,4 @@
-"""The epoch sync path: one phase, priced as arrays plus a flat merge.
+"""The epoch sync path: one phase, priced in closed form or on a flat heap.
 
 The per-message oracle (``sync_path="slow"``) advances ``p`` generator
 processes through the full simulation kernel — events, processes,
@@ -13,16 +13,18 @@ module prices the whole phase at once:
 * injection timelines are sequential float folds of the precomputed gap
   and occupancy arrays (``t = t + step`` per chunk, so the results match
   the oracle's chained timeouts bit-for-bit);
-* what *cannot* be precomputed — the FCFS contention at each receive
-  resource, where chunk streams from different senders interleave —
-  runs in one flat ``(time, seq, kind, ...)`` tuple heap with three
-  handler kinds, instead of the full event/process machinery.
+* the FCFS contention at each receive resource, where chunk streams
+  from different senders interleave, is either folded per queue in
+  closed form (:meth:`EpochPhase._fold`, flat topologies) or run in one
+  flat ``(time, seq, kind, ...)`` tuple heap with three handler kinds
+  (:meth:`EpochPhase._replay`), instead of the full event/process
+  machinery.
 
 The discrete-event simulator is touched only at the phase boundary: the
-kernel's pop count folds into ``sim.event_count`` and the clock advances
-via ``sim.run(until=end)``.  The kernel records each node's stage end
-times; when observability is on it emits from them the same ``qsm.*``
-spans the oracle's node processes open and close.
+kernel's entry count folds into ``sim.event_count`` and the clock
+advances via ``sim.run(until=end)``.  The kernel records each node's
+stage end times; when observability is on it emits from them the same
+``qsm.*`` spans the oracle's node processes open and close.
 
 Bit-identity discipline
 -----------------------
@@ -53,27 +55,25 @@ The oracle's remaining events — process bootstraps, grant events,
 endpoint pump hops — have no counterparts here, which is also why this
 path processes strictly fewer events.
 
-On a flat topology two stages skip the heap altogether (see
-docs/PERFORMANCE.md §1 for the full argument):
+Two routes (see docs/PERFORMANCE.md §1 for the full argument):
 
-* **The plan prefix.**  :meth:`EpochPhase._fold_plan` prices every
-  node's compute, entry and plan stages in closed form: plan starts in
-  the heap's pop order, arrivals by the same float additions, and one
-  FCFS fold ``finish = max(arrival, finish) + hold`` per receive queue.
-  Where the heap would compare two same-instant entries, the fold
-  compares their heap keys spelled as flat tuples (see ``_ROOT``).  The
-  heap then starts at each node's plan completion.  The fold holds only
-  while no data, reply or barrier arrival reaches a queue at or before
-  the last plan delivery; the first send that breaks this raises
-  :class:`_Inseparable` and the phase is re-priced with its plan stage
-  on the heap.
-* **The barrier release.**  Once the root has every up message, all
-  other nodes wait for their down message and every queue is idle, so
-  :meth:`EpochPhase._release` prices the down sweep as a tree
-  recursion (hop, occupancy, latency, hold).
+* **The phase fold** (flat topology).  :meth:`EpochPhase._fold` prices
+  plan, data, reply, the barrier's up-sweep and its release without the
+  heap: each receive queue serves its arrivals in heap-key order with
+  ``finish = max(arrival, finish) + hold`` (:func:`_serve`), and the
+  up-sweep is walked bottom-up so a child's up message merges into its
+  parent's queue.  Where the heap would compare two same-instant
+  entries, the fold compares their heap keys, built as the heap would
+  order them (see the comment above ``_IDLE``).  A phase whose traffic
+  would move a node's data completion — a data arrival at or before the
+  last plan delivery, or, at one queue, a reply chunk (or, when the
+  phase has replies, an up message) before the last data arrival —
+  raises :class:`_Inseparable` and is priced on the heap.
+* **The full heap**: cluster topologies, p = 1, plans whose steps take
+  no time, and inseparable phases.
 
-Both add the entries the heap would have popped to the phase's pop
-count, so ``sim.event_count`` is the same on every route.
+Both count the entries the heap pops, so ``sim.event_count`` is the same
+on either route.
 
 Eligibility is gated in
 :meth:`~repro.qsmlib.runtime.SyncEngine.execute_phase`: send pacing,
@@ -83,12 +83,12 @@ hooks fall back to the oracle.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-import numpy as np
 
 from repro.msg.collectives import CONTROL_BYTES, _children, _parent
 from repro.qsmlib.costmodel import build_epoch_tables
@@ -113,50 +113,51 @@ _DELIVER, _ARRIVE, _NODE = 0, 1, 2
 _PLAN, _DATA, _REPLY = 0, 1, 2
 _BARRIER = 3
 
-# The plan fold's heap keys.  The heap pops entries in (time, seq)
-# order, and seq follows push order: the order of the pops that pushed
-# them, then the push index within one pop.  So an entry sorts as the
-# nested (time, key of the pop that pushed it, push index), down to the
-# bootstrap that pushes every node's first entry in pid order.  The fold
-# spells that flat: (time, pusher's time, ..., -1, ..., pusher's push
-# index, push index).  -1 (the bootstrap, _ROOT) is below every
-# simulated time, so keys of different depths already differ at the
-# shorter one's -1, and equal time chains have equally long index tails.
-_ROOT = (-1.0,)
-
-# The fold seeds the heap with each node's plan completion.  A node that
-# continues at its own drain keeps its plan-start rank (< p) as seq; the
-# counter starts at p.  A node woken by its last plan delivery resumes
-# after every entry already queued for that instant, so its seq sits
-# above anything the counter reaches.  Every occupancy, hold and timed
-# step is positive, so no later push lands on the instant it is made
-# except such wakes (and those of data and reply deliveries come after
-# the last plan delivery, which separability requires).
-_WAKE_SEQ = 1 << 62
-
-#: Per (p, exchange schedule): ``pos[s, q]`` is 1 + q's place in sender
-#: s's plan peer list, and 0 on the diagonal.  Built on first use.
-_PLAN_POSITIONS: Dict[tuple, tuple] = {}
+# The fold's heap keys.  The heap pops entries in (time, seq) order, and
+# seq follows push order: the order of the pops that pushed them, then
+# the push index within one pop.  So an entry sorts as the nested tuple
+# (time, key of the pop that pushed it, push index), down to the
+# pid-ordered bootstraps that push each node's first entries; node
+# pid's bootstrap is keyed (-1, pid), below every simulated time.
+# Building a key is one tuple; comparing two recurses only while their
+# times tie, and only a wake shares its pusher's instant, so it stays
+# shallow.  Arrival records are keys with a payload appended, (time,
+# pusher key, push index, hold, tag); no two entries share a key, so the
+# payload never takes part in a comparison.
+#: The key of an idle queue's last delivery: below every arrival.
+_IDLE = (float("-inf"),)
 
 
 class _Inseparable(Exception):
-    """A data, reply or barrier arrival reaches a queue at or before the
-    last plan delivery, so the folded plan does not hold for the phase."""
+    """An arrival would move a node's data completion (or lands at or
+    before the last plan delivery), so the phase fold does not hold."""
 
 
-def _plan_positions(p: int, schedule: str, plan_dsts) -> tuple:
-    key = (p, schedule)
-    found = _PLAN_POSITIONS.get(key)
-    if found is None:
-        pos = np.zeros((p, p), dtype=np.intp)
-        for src, dsts in enumerate(plan_dsts):
-            pos[src, dsts] = np.arange(1, p)
-        found = _PLAN_POSITIONS[key] = (pos, pos.tolist(), np.arange(p))
-    return found
+def _serve(arrivals, last, done) -> tuple:
+    """Serve key-ordered *arrivals* FCFS after the delivery keyed *last*.
+
+    A delivery's key is (finish, pusher, 0): an arrival that finds the
+    queue idle pushes its own delivery, else the delivery ahead of it
+    does.  Stores each delivery's key in *done* under its arrival's tag
+    and returns the last one.
+    """
+    f = last[0]
+    for arr in arrivals:
+        a = arr[0]
+        # An arrival that ties the delivery ahead starts its own service
+        # only if it pops after that delivery.
+        if a > f or (a == f and arr > last):
+            f = a + arr[3]
+            last = (f, arr, 0)
+        else:
+            f = f + arr[3]
+            last = (f, last, 0)
+        done[arr[4]] = last
+    return last
 
 
 class EpochPhase:
-    """One phase's flat replay: precomputed tables + a tuple heap."""
+    """One phase's flat replay: precomputed tables, then a fold or a heap."""
 
     def __init__(self, machine, sw, traffic, compute_cycles, local_words) -> None:
         p = machine.p
@@ -186,29 +187,273 @@ class EpochPhase:
 
     # ------------------------------------------------------------------
     def run(self) -> Tuple[float, float, float]:
-        """Replay the phase; returns (start, ready, end) timestamps.
+        """Price the phase; returns (start, ready, end) timestamps.
 
-        On a flat topology the plan prefix is folded (see
-        :meth:`_fold_plan`) unless a zero-byte plan on a zero-overhead
-        NIC makes its steps instantaneous; a phase the fold turns out
-        not to hold for is re-priced with its plan stage on the heap.
+        On a flat topology the whole phase is folded (see :meth:`_fold`)
+        unless a zero-byte plan on a zero-overhead NIC makes its steps
+        instantaneous; a phase the fold turns out not to hold for is
+        priced on the heap.
         """
         if self._node_of is None and self.p > 1 and self.tables.plan_occupancy > 0:
             try:
-                return self._replay(fold=True)
+                return self._fold()
             except _Inseparable:
                 pass
-        return self._replay(fold=False)
+        return self._replay()
 
-    def _reset(self, fold: bool) -> None:
+    def _timing(self) -> Tuple[float, float, float]:
+        stamps = self.stamps
+        return self.start, max(s[0] for s in stamps), max(s[-1] for s in stamps)
+
+    # ------------------------------------------------------------------
+    # The phase fold (flat topology)
+    # ------------------------------------------------------------------
+    def _fold(self) -> Tuple[float, float, float]:
+        """Price every stage of the phase in closed form.
+
+        Stage by stage: compute and entry (:meth:`_fold_entry`); the
+        plan, whose last delivery sets the limit every later arrival must
+        clear; every sender's data chunks; in a phase with replies, each
+        queue's data service, each node's data completion and every
+        sender's reply chunks.  Then the last stage and the up-sweep are
+        walked bottom-up, in descending pid, so each node's queue serves
+        its children's up messages among its own chunks in key order.
+        The root then prices the release (:meth:`_release`).
+        """
+        p = self.p
+        tb = self.tables
+        self.stamps = stamps = [[] for _ in range(p)]
+        self.pops = 0
+        now, keys = self._fold_entry()
+        # done[tag]: the key of the latest delivery of each arrival tag,
+        # a child's pid for its up message or -1 for a stage's chunks.
+        done = [None] * (p + 1)
+        self._limit = float("-inf")
+        plan = self._inject(tb.plan, now, keys)
+        limit = self._limit
+        for q in range(p):
+            arrivals = plan[q]
+            arrivals.sort()
+            last = _serve(arrivals, _IDLE, done)
+            if last[0] > limit:
+                limit = last[0]
+            self._finish(q, now, keys, p - 1, 0.0, last)
+        # Every later arrival must land after the last plan delivery:
+        # from then on every queue is idle and every plan wake happened.
+        self._limit = limit
+        walk = self._inject(tb.data, now, keys)
+        replies = tb.reply is not None
+        if replies:
+            last_data = [None] * p
+            served = [_IDLE] * p
+            for q in range(p):
+                arrivals = walk[q]
+                if arrivals:
+                    arrivals.sort()
+                    last_data[q] = arrivals[-1]
+                    served[q] = _serve(arrivals, _IDLE, done)
+                self._finish(q, now, keys, tb.expected_data[q], tb.unmarshal_data[q], done[-1])
+            walk = self._inject(tb.reply, now, keys)
+            expected, unmarshal = tb.expected_reply, tb.unmarshal_reply
+        else:
+            served = [_IDLE] * p
+            expected, unmarshal = tb.expected_data, tb.unmarshal_data
+        # Each queue served its data before any reply, so a reply chunk
+        # that lands ahead of a data chunk would move that queue's data
+        # completion.
+        for q in range(p):
+            arrivals = walk[q]
+            if arrivals:
+                arrivals.sort()
+                if replies and last_data[q] is not None and arrivals[0] < last_data[q]:
+                    raise _Inseparable
+
+        hop = self.sw.barrier_hop_cycles
+        occ = tb.control_occupancy
+        hold = tb.control_hold
+        latency = self.latency
+        limit = self._limit
+        # ups[q]: the up messages of q's children, appended as the walk
+        # reaches them, so in descending pid.
+        ups: List[list] = [[] for _ in range(p)]
+        pops = 0
+        for q in range(p - 1, -1, -1):
+            arrivals = walk[q]
+            for arr in ups[q]:
+                insort(arrivals, arr)
+            if arrivals:
+                _serve(arrivals, served[q], done)
+            self._finish(q, now, keys, expected[q], unmarshal[q], done[-1])
+            t = now[q]
+            key = keys[q]
+            if not replies:
+                stamps[q].append(t)
+            for arr in reversed(ups[q]):
+                last = done[arr[4]]
+                if not last < key:
+                    t = last[0]
+                    key = (t, last, 0)
+                    pops += 1
+                if hop:
+                    t = t + hop
+                    key = (t, key, 0)
+                    pops += 1
+            if q:
+                if hop:
+                    t = t + hop
+                    key = (t, key, 0)
+                    pops += 1
+                t = t + occ
+                arr = (t + latency, key, 0, hold, q)
+                parent = _parent(q)
+                # With replies, the parent's data was served before the
+                # walk, so the up message must queue behind all of it.
+                if arr[0] <= limit or (
+                    replies and last_data[parent] is not None and arr < last_data[parent]
+                ):
+                    raise _Inseparable
+                ups[parent].append(arr)
+                # Arrival, delivery and the sender's drain.
+                pops += 3
+        # The walk ends at the root, free at t.
+        self._release(t, ups)
+        self.pops += pops
+        control = 2 * (p - 1)
+        self.bytes_sent = control * CONTROL_BYTES
+        self.messages_sent = control
+        for stage in (tb.plan, tb.data, tb.reply):
+            if stage is not None:
+                self.bytes_sent += sum(stage.sender_bytes)
+                self.messages_sent += stage.offsets[-1]
+        return self._timing()
+
+    def _fold_entry(self) -> Tuple[list, list]:
+        """Each node's compute and entry timeouts from its bootstrap.
+
+        Returns each node's time and the key of the pop it starts its
+        plan in.
+        """
+        start = self.start
+        stamps = self.stamps
+        overheads = self.tables.entry_overhead.tolist()
+        now = []
+        keys = []
+        pre = 0
+        for pid, (work, overhead) in enumerate(zip(self.compute, overheads)):
+            t = start
+            key = (-1.0, pid)
+            if work > 0:
+                t = t + work
+                key = (t, key, 0)
+                pre += 1
+            ready = t
+            if overhead > 0:
+                t = t + overhead
+                key = (t, key, 0)
+                pre += 1
+            stamps[pid] += (ready, t)
+            now.append(t)
+            keys.append(key)
+        self.pops += pre
+        return now, keys
+
+    def _inject(self, stage, now, keys) -> List[list]:
+        """Every sender's chunks of *stage*, from its current pop on.
+
+        Returns each queue's arrival records (unordered) and moves each
+        sender to its drain.  A chunk that lands at or before the limit
+        (the last plan delivery, once the plan is served) makes the phase
+        inseparable.
+        """
+        queues: List[list] = [[] for _ in range(self.p)]
+        if stage is None:
+            return queues
+        gaps = stage.gaps
+        occs = stage.occupancy
+        offsets = stage.offsets
+        chunks = zip(stage.dsts, gaps, occs, stage.holds)
+        latency = self.latency
+        limit = self._limit
+        senders = 0
+        for s in range(self.p):
+            lo = offsets[s]
+            n = offsets[s + 1] - lo
+            if not n:
+                continue
+            t = now[s]
+            key = keys[s]
+            # The first arrival is the stream's earliest.
+            if t + gaps[lo] + occs[lo] + latency <= limit:
+                raise _Inseparable
+            for idx, (dst, gap, occ, hold) in zip(range(n), chunks):
+                t = t + gap
+                t = t + occ
+                queues[dst].append((t + latency, key, idx, hold, -1))
+            now[s] = t
+            keys[s] = (t, key, n)
+            senders += 1
+        # Per sender its drain; per chunk its arrival and delivery.
+        self.pops += senders + 2 * offsets[-1]
+        return queues
+
+    def _finish(self, q, now, keys, expected, unmarshal, last) -> None:
+        """Node *q*'s receive of one stage, whose last delivery is keyed
+        *last*, and its unmarshal step; stamps the stage's end."""
+        t = now[q]
+        key = keys[q]
+        if expected and not last < key:
+            # The delivery pops after the node's own pop: it waits and
+            # resumes in the wake that delivery pushes.  (A delivery
+            # pushes at most one other entry, the next delivery, which
+            # lands a hold later, so the wake's push index never decides
+            # a comparison.)
+            t = last[0]
+            key = (t, last, 0)
+            self.pops += 1
+        if unmarshal:
+            t = t + unmarshal
+            key = (t, key, 0)
+            self.pops += 1
+        self.stamps[q].append(t)
+        now[q] = t
+        keys[q] = key
+
+    def _release(self, t: float, ups: List[list]) -> None:
+        """Price the barrier's down sweep from the root, free at *t*.
+
+        By the time the root has every up message, every other node has
+        finished its receives and waits for its down message, so each
+        down message finds its receive engine idle: the sweep is the
+        tree recursion of the heap's float operations (hop, send
+        occupancy, latency, hold, hop).  Each node's children are the
+        senders of its *ups*, in descending pid.
+        """
+        hop = self.sw.barrier_hop_cycles
+        occ = self.tables.control_occupancy
+        hold = self.tables.control_hold
+        latency = self.latency
+        stamps = self.stamps
+        todo = [(0, t)]
+        while todo:
+            pid, t = todo.pop()
+            for arr in reversed(ups[pid]):
+                if hop:
+                    t = t + hop
+                t = t + occ
+                woken = t + latency + hold
+                todo.append((arr[4], woken + hop if hop else woken))
+            stamps[pid].append(t)
+        # Per down message: arrive, deliver, wake and the sender's drain,
+        # plus the sender's and the receiver's hop.
+        self.pops += (self.p - 1) * (6 if hop else 4)
+
+    # ------------------------------------------------------------------
+    # The full heap
+    # ------------------------------------------------------------------
+    def _replay(self) -> Tuple[float, float, float]:
         p = self.p
         self._heap: list = []
-        self._seq = count(p if fold else 0)
-        #: Entries the heap would have popped in the folded stages.
-        self._virtual = 0
-        #: Every data, reply and barrier arrival must land after this
-        #: (the last plan delivery, when the plan is folded).
-        self._limit = float("-inf")
+        self._seq = count()
         self.bytes_sent = 0
         self.messages_sent = 0
         self._busy = [False] * self._nqueues
@@ -223,31 +468,21 @@ class EpochPhase:
         self._consumed: List[List[int]] = [[0] * nstreams for _ in range(p)]
         self._wait_stream = [-1] * p
         self._wait_target = [0] * p
-        self._finished = [False] * p
         #: Per node, the end time of each stage: compute (the node's
         #: ready time), entry, plan, data, reply, barrier — only the
         #: first two when p == 1.
         self.stamps: List[List[float]] = [[] for _ in range(p)]
-        self._gens = [self._node(pid, fold) for pid in range(p)]
-
-    def _replay(self, fold: bool) -> Tuple[float, float, float]:
-        self._reset(fold)
-        gens = self._gens
-        finished = self._finished
-        if fold:
-            self._fold_plan()
-            for gen in gens:
-                next(gen)
-        else:
-            # Bootstrap every node generator in pid order at t = start,
-            # like the DES's pid-ordered process bootstraps (nothing a
-            # bootstrap pushes can tie with a later bootstrap: all pushes
-            # land at strictly later times).
-            for pid in range(self.p):
-                try:
-                    next(gens[pid])
-                except StopIteration:
-                    finished[pid] = True
+        gens = [self._node(pid) for pid in range(p)]
+        finished = [False] * p
+        # Bootstrap every node generator in pid order at t = start, like
+        # the DES's pid-ordered process bootstraps (nothing a bootstrap
+        # pushes can tie with a later bootstrap: all pushes land at
+        # strictly later times).
+        for pid in range(p):
+            try:
+                next(gens[pid])
+            except StopIteration:
+                finished[pid] = True
 
         heap = self._heap
         seq = self._seq
@@ -294,288 +529,62 @@ class EpochPhase:
                     gens[pid].send(now)
                 except StopIteration:
                     finished[pid] = True
-        # The heap drained, so its pops == pushes == the seq counter's
-        # value (the fold's p seeded entries included).
-        self.pops = next(seq) + self._virtual
+        # The heap drained, so its pops == pushes == the seq counter's value.
+        self.pops = next(seq)
         if not all(finished):
             raise RuntimeError("sync deadlocked: a node never completed the phase")
-        stamps = self.stamps
-        return self.start, max(s[0] for s in stamps), max(s[-1] for s in stamps)
-
-    # ------------------------------------------------------------------
-    # The folded prefix and the release sweep (flat topology)
-    # ------------------------------------------------------------------
-    def _fold_plan(self) -> None:
-        """Price every node's compute, entry and plan stages in closed form.
-
-        Plan starts follow the heap's pop order of each node's last
-        pre-plan entry.  Arrivals are the heap's float additions, done
-        in bulk.  Each receive queue serves its arrivals in key order
-        with ``finish = max(arrival, finish) + hold``.  Keys are
-        compared only where two entries share an instant: an arrival
-        that ties the previous finish is started by whichever of the two
-        pops later, and a node whose drain ties its last delivery
-        continues at the drain only if the delivery popped first.  Seeds
-        the heap with each node's plan completion and sets the limit
-        every later arrival must clear.
-        """
-        p = self.p
-        tb = self.tables
-        hold = tb.plan_hold
-        start = self.start
-        compute = self.compute
-        stamps = self.stamps
-
-        # -- compute and entry: plan starts and the pops that make them
-        begin = [start] * p
-        keys = [_ROOT] * p  # key of the pop that starts each node's plan
-        base = [0] * p  # push index of its first plan arrival in that pop
-        pre = 0
-        for pid, (work, overhead) in enumerate(zip(compute, tb.entry_overhead.tolist())):
-            t = start
-            key = _ROOT
-            idx = pid * p  # the bootstrap's push index for this node
-            if work > 0:
-                t = t + work
-                key = (t,) + key + (idx,)
-                idx = 0
-                pre += 1
-            ready = t
-            if overhead > 0:
-                t = t + overhead
-                key = (t,) + key + (idx,)
-                idx = 0
-                pre += 1
-            stamps[pid] += (ready, t)
-            begin[pid] = t
-            keys[pid] = key
-            base[pid] = idx
-        order = sorted(range(p), key=lambda pid: keys[pid] + (pid,))
-        rank = [0] * p
-        for r, pid in enumerate(order):
-            rank[pid] = r
-
-        # -- arrivals: row s of `inj` is s's injection fold, so column
-        #    k >= 1 ends its (k-1)-th message; column 0 becomes the
-        #    never-served diagonal.
-        pos, pos_rows, cols = _plan_positions(p, self.sw.exchange_schedule, tb.plan_dsts)
-        inj = np.empty((p, p))
-        inj[:, 0] = begin
-        inj[:, 1:] = tb.plan_occupancy
-        np.add.accumulate(inj, axis=1, out=inj)
-        drain = inj[:, -1].tolist()
-        arr = inj + self.latency
-        arr[:, 0] = np.inf
-        # Row r holds the arrivals of the rank-r sender at every queue;
-        # a stable sort per column serves ties in plan-start order.
-        by_rank = np.array(order)
-        at = arr[by_rank[:, None], pos[by_rank]]
-        served = at.argsort(axis=0, kind="stable")
-        times = at[served, cols].T.tolist()
-        senders = by_rank[served].T.tolist()
-
-        def arrive_key(q: int, i: int) -> tuple:
-            src = senders[q][i]
-            return (times[q][i],) + keys[src] + (base[src] + pos_rows[src][q] - 1,)
-
-        def deliver_key(q: int, i: int, first: int) -> tuple:
-            # Deliveries first..i form one busy period: the first was
-            # pushed by its arrival, each later one by the one before.
-            return tuple(finishes[q][first:i + 1][::-1]) + arrive_key(q, first) + (0,) * (
-                i - first + 1
-            )
-
-        # -- one FCFS fold per receive queue.  A key comparison is due
-        #    only where two entries share an instant, and the pushing
-        #    pops' times (each key's second element) nearly always
-        #    settle it.
-        last = [0.0] * p  # each queue's last plan delivery
-        began = [0.0] * p  # when it started, i.e. when its pusher popped
-        opened = [0] * p  # service position that opened its busy period
-        finishes = []
-        for q in range(p):
-            col = times[q]
-            fin = []
-            finishes.append(fin)
-            f = -1.0
-            s = -1.0
-            first = 0
-            for i in range(p - 1):
-                a = col[i]
-                if a < f:
-                    s = f
-                else:
-                    if a > f:
-                        first = i
-                    else:
-                        # The arrival ties the delivery ahead of it: the
-                        # later of the two pops starts this service.
-                        pushed = keys[senders[q][i]][0]
-                        if pushed > s or (
-                            pushed == s and arrive_key(q, i) > deliver_key(q, i - 1, first)
-                        ):
-                            first = i
-                    s = a
-                f = s + hold
-                fin.append(f)
-            last[q] = f
-            began[q] = s
-            opened[q] = first
-
-        # -- plan completions seed the heap
-        heap = self._heap
-        waits = []
-        tail = p - 2
-        for q in range(p):
-            done, end = last[q], drain[q]
-            if done == end:
-                # The drain was pushed when the plan started: it pops
-                # first unless the last delivery's pusher popped earlier.
-                pushed = keys[q][0]
-                resumes = pushed > began[q] or (
-                    pushed == began[q]
-                    and deliver_key(q, tail, opened[q]) < (end,) + keys[q] + (base[q] + p - 1,)
-                )
-            else:
-                resumes = done < end
-            if resumes:
-                heap.append((end, rank[q], _NODE, q))
-                stamps[q].append(end)
-            else:
-                waits.append(q)
-                stamps[q].append(done)
-        # Waiting nodes resume in their last deliveries' key order.  Ties
-        # in the first two elements are common (every queue drains the
-        # same latecomer's messages); the later a busy period opened, the
-        # earlier its last delivery usually sorts, so the full-key sort
-        # mostly finds a single run.
-        waits.sort(key=lambda q: (last[q], began[q], -opened[q]))
-        if any(
-            last[a] == last[b] and began[a] == began[b] for a, b in zip(waits, waits[1:])
-        ):
-            waits.sort(key=lambda q: deliver_key(q, tail, opened[q]))
-        for n, q in enumerate(waits):
-            heap.append((last[q], _WAKE_SEQ + n, _NODE, q))
-        heapify(heap)
-
-        self._limit = max(last)
-        self._virtual += pre + 2 * p * (p - 1) + len(waits)
-        sent = p * (p - 1)
-        self.bytes_sent += sent * tb.plan_bytes
-        self.messages_sent += sent
-
-    def _release(self, t: float) -> None:
-        """Price the barrier's down sweep from the root, free at *t*.
-
-        By the time the root has every up message, every other node has
-        finished its receives and waits for its down message, so the
-        heap is empty and each down message finds its receive engine
-        idle: the sweep is the tree recursion of the heap's float
-        operations (hop, send occupancy, latency, hold, hop).
-        """
-        assert not self._heap
-        p = self.p
-        hop = self.sw.barrier_hop_cycles
-        occ = self.tables.control_occupancy
-        hold = self.tables.control_hold
-        latency = self.latency
-        stamps = self.stamps
-        todo = [(0, t)]
-        while todo:
-            pid, t = todo.pop()
-            for child in _children(pid, p):
-                if hop:
-                    t = t + hop
-                t = t + occ
-                woken = t + latency + hold
-                todo.append((child, woken + hop if hop else woken))
-            stamps[pid].append(t)
-            self._finished[pid] = True
-        # The other nodes' generators wait for down messages that the
-        # heap will never deliver; closing them frees their frames now
-        # rather than leaving each phase in a reference cycle.
-        for gen in self._gens[1:]:
-            gen.close()
-        # Per down message: arrive, deliver, wake and the sender's drain,
-        # plus the sender's and the receiver's hop.
-        self._virtual += (p - 1) * (6 if hop else 4)
-        self.bytes_sent += (p - 1) * CONTROL_BYTES
-        self.messages_sent += p - 1
+        return self._timing()
 
     # ------------------------------------------------------------------
     # Node timeline (mirrors SyncEngine._node_proc, with every
     # `yield sim.timeout(...)` / event wait as one heap entry).
     # ------------------------------------------------------------------
-    def _node(self, pid: int, fold: bool):
+    def _node(self, pid: int):
         heap = self._heap
         seq = self._seq
         p = self.p
         tb = self.tables
         stamps = self.stamps[pid]
 
-        if fold:
-            # Compute, entry and plan are priced: resume at plan completion.
+        t = self.start
+        compute = self.compute[pid]
+        if compute > 0:
+            t = t + compute
+            heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
-        else:
-            t = self.start
-            compute = self.compute[pid]
-            if compute > 0:
-                t = t + compute
-                heappush(heap, (t, next(seq), _NODE, pid))
-                t = yield
-            stamps.append(t)
-            overhead = float(tb.entry_overhead[pid])
-            if overhead > 0:
-                t = t + overhead
-                heappush(heap, (t, next(seq), _NODE, pid))
-                t = yield
-            stamps.append(t)
-
-            if p == 1:
-                return
-
-            # -- 1. plan exchange --------------------------------------
-            if tb.plan_sends is not None:
-                t = self._send_burst(pid, t, tb.plan_sends[pid], _PLAN)
-            else:
-                t = self._send_uniform(
-                    pid, t, tb.plan_dsts[pid], tb.plan_occupancy, tb.plan_hold,
-                    tb.plan_bytes, _PLAN,
-                )
-            t = yield
-            if not self._try_recv(pid, _PLAN, p - 1):
-                t = yield
-            stamps.append(t)
-
-        # -- 2. data messages: puts + get requests ----------------------
-        sched = tb.data_sends[pid]
-        if sched is not None:
-            t = self._send_burst(pid, t, sched, _DATA)
-            t = yield
-        expected = tb.expected_data[pid]
-        if expected and not self._try_recv(pid, _DATA, expected):
-            t = yield
-        unmarshal = tb.unmarshal_data[pid]
-        if unmarshal:
-            t = t + unmarshal
+        stamps.append(t)
+        overhead = float(tb.entry_overhead[pid])
+        if overhead > 0:
+            t = t + overhead
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
         stamps.append(t)
 
-        # -- 3. get replies ---------------------------------------------
-        sched = tb.reply_sends[pid]
-        if sched is not None:
-            t = self._send_burst(pid, t, sched, _REPLY)
-            t = yield
-        expected = tb.expected_reply[pid]
-        if expected and not self._try_recv(pid, _REPLY, expected):
-            t = yield
-        unmarshal = tb.unmarshal_reply[pid]
-        if unmarshal:
-            t = t + unmarshal
-            heappush(heap, (t, next(seq), _NODE, pid))
+        if p == 1:
+            return
+
+        # -- 1. plan exchange ------------------------------------------
+        t = self._send_burst(pid, t, tb.plan, _PLAN)
+        t = yield
+        if not self._try_recv(pid, _PLAN, p - 1):
             t = yield
         stamps.append(t)
+
+        # -- 2. data messages: puts + get requests, then 3. get replies --
+        for stage, stream, expected, unmarshal in (
+            (tb.data, _DATA, tb.expected_data[pid], tb.unmarshal_data[pid]),
+            (tb.reply, _REPLY, tb.expected_reply[pid], tb.unmarshal_reply[pid]),
+        ):
+            if stage is not None and stage.offsets[pid] < stage.offsets[pid + 1]:
+                t = self._send_burst(pid, t, stage, stream)
+                t = yield
+            if expected and not self._try_recv(pid, stream, expected):
+                t = yield
+            if unmarshal:
+                t = t + unmarshal
+                heappush(heap, (t, next(seq), _NODE, pid))
+                t = yield
+            stamps.append(t)
 
         # -- 4. closing barrier -----------------------------------------
         hop = self.sw.barrier_hop_cycles
@@ -601,10 +610,6 @@ class EpochPhase:
                 t = t + hop
                 heappush(heap, (t, next(seq), _NODE, pid))
                 t = yield
-        elif self._node_of is None:
-            # Flat topology: the root prices the whole release at once.
-            self._release(t)
-            return
         for child in _children(pid, p):
             if hop:
                 t = t + hop
@@ -617,8 +622,8 @@ class EpochPhase:
     # ------------------------------------------------------------------
     # Send/receive building blocks
     # ------------------------------------------------------------------
-    def _send_burst(self, pid: int, t0: float, sched, stream) -> float:
-        """Inject one precomputed chunk stream starting at *t0*.
+    def _send_burst(self, pid: int, t0: float, stage, stream) -> float:
+        """Inject sender *pid*'s chunks of *stage* starting at *t0*.
 
         The injection timeline is a sequential float64 fold —
         ``t += gap; t += occupancy`` per chunk — matching the oracle's
@@ -626,56 +631,36 @@ class EpochPhase:
         bitwise no-op).  Arrivals push in entry order, then the sender's
         drain resume: the arrival places the oracle reserves when the
         stage starts.
-        The per-chunk heappush dominates this loop either way, so the
-        fold stays in plain Python rather than paying a numpy
-        allocate/cumsum/tolist round trip per call.
         """
         heap = self._heap
         seq = self._seq
-        dsts = sched.dsts
-        gaps = sched.gaps
-        occs = sched.occupancy
-        holds = sched.holds
-        lats = sched.lats
+        lo = stage.offsets[pid]
+        hi = stage.offsets[pid + 1]
+        dsts = stage.dsts
+        gaps = stage.gaps
+        occs = stage.occupancy
+        holds = stage.holds
+        lats = stage.lats
         t = t0
         if lats is None:
             latency = self.latency
-            # The first arrival is the stream's earliest.
-            if t + gaps[0] + occs[0] + latency <= self._limit:
-                raise _Inseparable
-            for k in range(sched.count):
+            for k in range(lo, hi):
                 t = t + gaps[k]
                 t = t + occs[k]
                 heappush(
                     heap, (t + latency, next(seq), _ARRIVE, dsts[k], dsts[k], holds[k], stream)
                 )
         else:
-            queues = sched.queues
-            for k in range(sched.count):
+            queues = stage.queues
+            for k in range(lo, hi):
                 t = t + gaps[k]
                 t = t + occs[k]
                 heappush(
                     heap, (t + lats[k], next(seq), _ARRIVE, queues[k], dsts[k], holds[k], stream)
                 )
         heappush(heap, (t, next(seq), _NODE, pid))
-        self.bytes_sent += sched.total_bytes
-        self.messages_sent += sched.count
-        return t
-
-    def _send_uniform(
-        self, pid: int, t0: float, dsts, occ: float, hold: float, nbytes: int, stream
-    ) -> float:
-        """Burst of equal-size, gapless messages (the plan stage)."""
-        heap = self._heap
-        seq = self._seq
-        latency = self.latency
-        t = t0
-        for dst in dsts:
-            t = t + occ
-            heappush(heap, (t + latency, next(seq), _ARRIVE, dst, dst, hold, stream))
-        heappush(heap, (t, next(seq), _NODE, pid))
-        self.bytes_sent += len(dsts) * nbytes
-        self.messages_sent += len(dsts)
+        self.bytes_sent += stage.sender_bytes[pid]
+        self.messages_sent += hi - lo
         return t
 
     def _send_control(self, pid: int, t0: float, dst: int, stream) -> float:
@@ -693,8 +678,6 @@ class EpochPhase:
             occ, hold, latency = tb.control_inter
             queue = self.p + node_of[dst]
         t = t0 + occ
-        if t + latency <= self._limit:
-            raise _Inseparable
         heap = self._heap
         seq = self._seq
         heappush(heap, (t + latency, next(seq), _ARRIVE, queue, dst, hold, stream))
@@ -749,10 +732,11 @@ def execute_epoch_phase(
 ) -> Tuple[float, float, float]:
     """Run phase number *seq* on the epoch path; returns (start, ready, end).
 
-    Folds the kernel's work back into the simulator: the pop count joins
-    ``sim.event_count``, the clock advances to *end*, and the network's
-    lifetime byte/message counters include this phase's injections.
-    With observability on, the phase's ``qsm.*`` spans are recorded too.
+    Folds the kernel's work back into the simulator: the entry count
+    joins ``sim.event_count``, the clock advances to *end*, and the
+    network's lifetime byte/message counters include this phase's
+    injections.  With observability on, the phase's ``qsm.*`` spans are
+    recorded too.
     """
     phase = EpochPhase(machine, sw, traffic, compute_cycles, local_words)
     start, ready, end = phase.run()

@@ -64,9 +64,9 @@ class SyncEngine:
         self._seq = 0
         #: Phases executed per sync path this engine's lifetime — how
         #: tests (and curious users) observe fallback decisions.  An
-        #: epoch phase counts as epoch whether the kernel folded its plan
-        #: prefix or re-priced it on the full heap (a choice made inside
-        #: the kernel from the topology and the phase's own timings).
+        #: epoch phase counts as epoch whether the kernel folded the whole
+        #: phase or priced it on the full heap (a choice made inside the
+        #: kernel from the topology and the phase's own timings).
         self.path_counts = {path.value: 0 for path in SyncPath}
 
     # ------------------------------------------------------------------
@@ -149,7 +149,7 @@ class SyncEngine:
         instantaneous per-message state; a kernel step hook wants to see
         every event.  Any of them degrades epoch to the per-message
         oracle — see the path-selection matrix in docs/PERFORMANCE.md.
-        Nothing here decides whether the kernel folds the plan prefix;
+        Nothing here decides whether the kernel folds the phase;
         :meth:`~repro.qsmlib.epoch.EpochPhase.run` does, per phase.
         """
         return (

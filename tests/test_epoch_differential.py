@@ -10,14 +10,19 @@ kernel on its kernel event count too.  Cases cover:
 * p from 2 to 12, flat and cluster topologies;
 * zero and positive wire latency and NIC overhead, a fractional gap;
 * both exchange schedules, with and without barrier hop cycles;
-* uniform, skewed, hot-cell, one-sided and empty phases;
+* whole messages and messages split into 40- or 100-byte chunks;
+* uniform, skewed, hot-cell, one-sided and empty phases; phases where
+  only nodes with barrier children talk, so idle leaves send their up
+  messages while their parents still receive; and one long data stream
+  that a reply can overtake;
 * equal, zero, uneven and straggler compute, and compute stepped by one
   plan message's send time, which lines arrivals, deliveries and drains
   up on the same instants.
 
-On a flat topology the kernel folds the plan exchange and falls back to
-the full heap when a phase's later traffic overlaps it; a spy on the
-kernel checks that the examples exercise both routes.
+On a flat topology the kernel folds the whole phase and falls back to
+the full heap when a phase's traffic would move a node's data
+completion; a spy on the kernel checks that the examples exercise both
+routes.
 """
 
 from collections import Counter
@@ -42,7 +47,7 @@ SLOWISH = settings(max_examples=40, deadline=None, suppress_health_check=[Health
 #: Words one writer may put to one owner in a phase.
 SLOT = 6
 
-TRAFFIC = ("uniform", "skewed", "hot", "one-sided", "empty")
+TRAFFIC = ("uniform", "skewed", "hot", "one-sided", "empty", "inner", "inner-put", "burst")
 COMPUTE = ("equal", "zero", "uneven", "straggler", "stepped")
 
 
@@ -60,6 +65,8 @@ class Case(NamedTuple):
     phases: tuple
     seed: int
     traced: bool
+    #: Wire bytes per chunk: below 16384, one message spans several.
+    max_message_bytes: int = 16384
 
 
 @st.composite
@@ -81,6 +88,7 @@ def cases(draw):
         phases=tuple(draw(st.lists(phase, min_size=1, max_size=3))),
         seed=draw(st.integers(0, 2**16)),
         traced=draw(st.booleans()),
+        max_message_bytes=draw(st.sampled_from([16384, 40, 100])),
     )
 
 
@@ -110,10 +118,27 @@ def _program(ctx, src, dst, phases, seed, step):
         elif traffic == "one-sided" and pid == 0:
             owners = np.arange(words) % p
             reads = np.arange(words) * 7 % len(src)
+        elif traffic in ("inner", "inner-put") and 2 * pid + 1 < p:
+            # Only nodes with barrier children talk, among themselves, so
+            # the idle leaves send their up messages while their parents
+            # still receive.
+            inner = (p - 2) // 2 + 1
+            owners = rng.integers(0, inner, size=words)
+            reads = (
+                rng.integers(0, len(src) * inner // p, size=words)
+                if traffic == "inner"
+                else np.zeros(0, dtype=np.int64)
+            )
+        elif traffic == "burst" and pid < 2 and p > 2:
+            # Node 1 streams to every node but the last, which serves
+            # node 0's reads and can reply before node 1's stream reaches
+            # node 0.
+            owners = np.repeat(np.arange(p - 1), words) if pid else np.zeros(0, dtype=np.int64)
+            reads = np.zeros(0, dtype=np.int64) if pid else len(src) - 1 - np.arange(words)
         else:
             owners = reads = np.zeros(0, dtype=np.int64)
         if len(owners):
-            cells = owners * (p * SLOT) + pid * SLOT + np.arange(len(owners))
+            cells = owners * (p * SLOT) + pid * SLOT + np.arange(len(owners)) % SLOT
             ctx.put(dst, cells, cells + pid)
         handle = ctx.get(src, reads) if len(reads) else None
         yield ctx.sync()
@@ -140,6 +165,7 @@ def _config(case: Case, path: str) -> RunConfig:
             exchange_schedule=case.schedule,
             barrier_hop_cycles=case.hop,
             sync_fixed_cycles=case.sync_fixed,
+            max_message_bytes=case.max_message_bytes,
         ),
         seed=case.seed,
     )
@@ -184,30 +210,35 @@ def _observe(case: Case, path: str) -> dict:
 
 def _spied(routes: Counter):
     """Patch the kernel so each phase's route lands in *routes*."""
+    fold = epoch.EpochPhase._fold
     replay = epoch.EpochPhase._replay
 
-    def spy(self, fold):
+    def spy_fold(self):
         try:
-            timing = replay(self, fold)
+            timing = fold(self)
         except epoch._Inseparable:
             routes["fallback"] += 1
             raise
-        routes["folded" if fold else "full"] += 1
+        routes["folded"] += 1
         return timing
 
-    return mock.patch.object(epoch.EpochPhase, "_replay", spy)
+    def spy_replay(self):
+        routes["full"] += 1
+        return replay(self)
+
+    return mock.patch.multiple(epoch.EpochPhase, _fold=spy_fold, _replay=spy_replay)
 
 
 def _unfolded():
     """Patch the kernel to price every phase on the full merge heap."""
-    return mock.patch.object(epoch.EpochPhase, "run", lambda self: self._replay(fold=False))
+    return mock.patch.object(epoch.EpochPhase, "run", lambda self: self._replay())
 
 
 #: FOLDS folds its first phase.  In FALLS_BACK, straggler node 5 starts
 #: its plan last, so node 6, the first it messages, finishes its plan
 #: and sends its hot-cell read to node 10 before node 5's plan message
-#: reaches node 10: the two share a queue, so the phase is re-priced
-#: with its plan on the heap.
+#: reaches node 10: the two share a queue, so the phase is priced on the
+#: full heap.
 FOLDS = Case(8, 0, 1600.0, 400.0, 3.0, "staggered", 311.0, 500.0,
              (("uniform", "equal", 3), ("hot", "straggler", 2)), 5, True)
 FALLS_BACK = Case(11, 0, 37.5, 400.0, 1.25, "staggered", 0.0, 500.0,
@@ -236,6 +267,47 @@ WAITS_AT_DELIVERY = Case(7, 0, 0.0, 0.0, 3.0, "fixed", 311.0, 0.0,
 SENDER_RESUMES = Case(6, 3, 0.0, 0.0, 3.0, "staggered", 311.0, 0.0,
                       (("hot", "equal", 1),), 0, False)
 
+# The phase fold past the plan.  Each of these folds its phase unless
+# named otherwise.
+#: Leaves 1 and 2 run the same timeline, so their up messages reach node
+#: 0's queue at one instant.  It serves them in key order: node 1's
+#: pops come first, down to the bootstrap.
+UPS_TIE = Case(3, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+               (("empty", "equal", 1),), 0, False)
+#: Data chunks from different senders reach one queue at one instant
+#: (equal compute lines the senders up).  The queue serves them in the
+#: order of the pops that started the senders' data stages, not in pid
+#: order.
+CHUNKS_TIE = Case(12, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+                  (("uniform", "equal", 1),), 11, False)
+#: A data chunk arrives at the instant the chunk ahead of it is
+#: delivered (40-byte chunks split each message in four).  The arrival
+#: pops after that delivery, so it starts its own service.
+SERVICE_TIE = Case(2, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+                   (("uniform", "equal", 3),), 2, False, max_message_bytes=40)
+#: A node's data drain lands at the instant of its last data delivery.
+#: The delivery pops later, so the node waits for it: one more entry.
+DRAIN_TIES_DATA = Case(11, 0, 0.0, 0.0, 0.37, "staggered", 0.0, 0.0,
+                       (("uniform", "uneven", 1),), 0, False)
+#: Idle leaf 3 sends its up message before node 0's put reaches leaf 3's
+#: parent, node 1: the walk merges it ahead of that data chunk.
+UP_AMONG_DATA = Case(4, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+                     (("inner-put", "equal", 1),), 0, False)
+#: Leaf 4's up message lands among node 1's reply chunks and is merged
+#: there.
+UP_AMONG_REPLIES = Case(9, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+                        (("uniform", "equal", 1),), 0, False)
+#: Rule 2: node 7 holds node 0's reads and nothing else, so its replies
+#: reach node 0 before node 1's long data stream does.  Node 0's data
+#: completion would move, so the phase is priced on the full heap.
+REPLY_BEFORE_DATA = Case(8, 0, 0.0, 400.0, 3.0, "staggered", 0.0, 0.0,
+                         (("burst", "equal", 1),), 0, False)
+#: Rule 3: idle leaf 3's up message reaches node 1 before node 0's data
+#: does, in a phase with replies: node 1's data completion would move,
+#: so the phase is priced on the full heap.
+UP_BEFORE_DATA = Case(4, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+                      (("one-sided", "equal", 3),), 0, False)
+
 
 def test_epoch_matches_oracle_on_generated_programs():
     routes: Counter = Counter()
@@ -246,6 +318,14 @@ def test_epoch_matches_oracle_on_generated_programs():
     @example(case=DRAIN_BEFORE_WAKE)
     @example(case=WAITS_AT_DELIVERY)
     @example(case=SENDER_RESUMES)
+    @example(case=UPS_TIE)
+    @example(case=CHUNKS_TIE)
+    @example(case=SERVICE_TIE)
+    @example(case=DRAIN_TIES_DATA)
+    @example(case=UP_AMONG_DATA)
+    @example(case=UP_AMONG_REPLIES)
+    @example(case=REPLY_BEFORE_DATA)
+    @example(case=UP_BEFORE_DATA)
     @given(case=cases())
     @SLOWISH
     def check(case):

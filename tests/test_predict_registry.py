@@ -141,6 +141,39 @@ def test_cli_bad_models_exits_2(capsys):
     assert "unknown prediction model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, unmeasured",
+    [
+        (["run", "fig8", "--fast", "--models", "bsp-observed"], "fig8"),
+        (["run", "fig4", "--fast", "--models", "qsm-observed"], "fig4"),
+        (["run", "fig5", "--fast", "--models", "qsm-best,qsm-observed"], "fig5"),
+        (["all", "--fast", "--models", "qsm-observed"], "fig4, fig5, fig6, fig8"),
+    ],
+)
+def test_cli_observed_models_need_measured_runs(argv, unmeasured, capsys, monkeypatch):
+    """A usage error before any experiment runs, naming the experiments
+    that record no runs and the ones that can price observed models."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{unmeasured} record none" in err
+    assert "only with fig1, fig2, fig3" in err
+
+
+def test_cli_observed_models_run_where_runs_are_measured(tmp_path):
+    out_path = tmp_path / "fig1.json"
+    argv = ["run", "fig1", "--fast", "--ns", "4096", "--models", "qsm-observed"]
+    assert cli.main(argv + ["--json", str(out_path)]) == 0
+    records = json.loads(out_path.read_text())["data"]["predictions"]
+    assert records and {rec["model"] for rec in records} == {"qsm-observed"}
+
+
 def test_cli_models_filter_reaches_json(tmp_path, capsys):
     out_path = tmp_path / "fig1.json"
     rc = cli.main(
