@@ -51,76 +51,64 @@ flags), points run on a process-per-task engine with
   :func:`drain_failures`, so one poisoned point no longer kills a
   sweep.
 
-Content-addressed result cache
-------------------------------
-With a result store installed (:func:`repro.store.set_store`, driven by
-the CLI's ``--cache DIR`` or ``--checkpoint DIR`` flag, the ``serve``
-subcommand, or ``QSM_CACHE=DIR``), :func:`parallel_map` derives a
-canonical, version-salted key for every task
-(:func:`repro.store.point_key` over the task tuple plus the armed
-fault plan) and partitions the list into cached and novel points.
-Cached points replay their stored capture; novel points run on the
-engines above and are stored on success, and identical in-flight
-points are deduped through :mod:`repro.store.flight` so concurrent
-sweeps compute each point once.  A second identical sweep therefore
-executes zero simulator points and returns byte-identical results,
-independent of the job count (see docs/SERVICE.md).
+Point cache in two tiers
+------------------------
+:func:`parallel_map` replays a point it has already computed from one
+:mod:`repro.store` tier:
 
-The store is also the checkpoint: re-running an interrupted command
-replays the points it finished and runs the rest.  One failure rule
-holds on every engine: failed points are never stored, so they re-run
-on resume (see docs/ROBUSTNESS.md).
+* the **disk tier** when a store is installed
+  (:func:`repro.store.set_store`: the CLI's ``--cache DIR`` or
+  ``--checkpoint DIR``, ``serve``, or ``QSM_CACHE=DIR``).  A second
+  identical sweep executes zero simulator points, byte-identically and
+  independent of the job count (see docs/SERVICE.md), and re-running an
+  interrupted command resumes from it (see docs/ROBUSTNESS.md);
+* else, while observability is off, the process-wide **memory tier**
+  (:func:`repro.store.memory_store`), shared by every call (the
+  ``all``/``report`` loop, library callers): fig5 repeats fig4's
+  latency points and table4 repeats fig4's and fig6's.  Obs-on runs
+  keep the plain loop, because merged metric captures are not bit-exact
+  (see above).
 
-In-memory point memo
---------------------
-Without a store, work this process has already done is not done again.
-The memo holds two kinds of entry in one LRU:
+One key function and one set of rules serve both tiers:
 
-* **point captures.**  A point this process already computed is
-  replayed rather than simulated again.  The §3.3 sweeps share one
-  grid: fig5 repeats fig4's latency points and table4 repeats fig4's
-  and fig6's;
-* **recorded runs.**  A sample-sort program already run for another
-  machine is priced rather than run again
-  (:func:`repro.qsmlib.price_run`): fig4–6 and table4 vary only ``l``
-  and ``o``, and fig8 only the topology, over the programs fig2 runs,
-  which changes the cost of each exchange and nothing else.  So ``all
-  --fast`` runs 35 qsmlib programs where it ran 116, and a layerbench
-  samplesort-sweeps unit 15 for its 96 simulated points.
-
-The memo is process-wide: every :func:`parallel_map` call shares it
-(the ``all``/``report`` loop, library callers, repeated
-``registry.run_experiment`` calls).  Its contract:
-
-* it is used only when no store is installed and observability is
-  off, and recorded runs only when no sanitizer is armed either, since
-  the sanitizer checks the half that pricing skips.  Obs-on runs keep
-  the plain loop, because merging per-point metric captures is not
-  bit-exact for histogram moments (see above);
-* a point's key is :func:`repro.store.point_key` over the task, with
-  the store's env (fault plan, sanitizer mode) plus the resolved sync
-  path, :func:`effective_jobs` and whether a policy is installed.
-  Paths and job counts are bit-identical by contract, but keying them
+* a point's key is :func:`repro.store.point_key` over the worker's
+  name and the task, with the armed fault plan and the obs and
+  sanitizer modes as env.  The memory tier's env adds the resolved
+  sync path, :func:`effective_jobs` and whether a policy is installed:
+  paths and job counts are bit-identical by contract, but keying them
   keeps in-process epoch≡oracle and jobs-1≡N checks executing both
-  sides.  A recorded run's key is ``n``, the run seed and the
-  :class:`~repro.qsmlib.RunConfig` with network, topology and fault
-  plan blanked (:meth:`~repro.qsmlib.RunConfig.recorded`): the inputs
-  of the program's half of the run;
-* only module-level functions are memoized: a closure, lambda, partial
+  sides;
+* only module-level functions are cached: a closure, lambda, partial
   or callable instance can carry state no key sees, so it runs every
   time, as does a task whose key is not fully structural
   (``canonical(..., strict=True)`` raises, e.g. for an object printed
-  with its address, which a later object can reuse).  Recorded runs
-  are looked up inside the worker, so they serve any caller;
-* only successful points are kept, as pickled captures (result, fault
-  tally, sanitizer diagnostics), and recorded runs as zlib-compressed
-  pickles (a sample-sort run with its traffic: 28.3 KB, ~2 KB
-  compressed), in an LRU of :data:`MEMO_BUDGET_BYTES` (1 MiB) guarded
-  by a lock.  An entry above :data:`MEMO_ENTRY_CAP_BYTES` (64 KiB) is
-  not kept: one ~90 KB fig3 run record would displace ~1,000 sweep
-  points.  :func:`clear_memo` forgets both kinds;
-* hits touch no ``repro.store`` counter or listener.  A replayed point's
-  sanitizer warnings count in the summary but are not printed again.
+  with its address, which a later object can reuse);
+* identical keys in one batch are computed once; keys in flight
+  elsewhere (another thread of a sweep service, or another process on
+  the same disk store) are waited on and read back
+  (:mod:`repro.store.flight`);
+* only successful points are kept, as pickled captures (result, obs
+  payload, sanitizer diagnostics, fault tally): a failed point, or a
+  result that does not pickle, runs again next time (and on resume).
+  If a point raises, side state is left as the plain loop leaves it;
+* hits, misses and coalesced points count in
+  :func:`repro.store.counters` and reach the store's listener.  A
+  replayed point's sanitizer warnings count in the summary but are not
+  printed again.
+
+The memory tier is a 1 MiB LRU that keeps no entry above 64 KiB
+(:mod:`repro.store.memory`).  It also holds **recorded runs**
+(:func:`recorded_run`): a sample-sort program already run for another
+machine is priced, not run again (:func:`repro.qsmlib.price_run`),
+because fig4–6, fig8 and table4 vary only ``l``, ``o`` or the topology
+over the programs fig2 runs.  So ``all --fast`` runs 35 qsmlib programs,
+not 116.  A recorded run is a zlib-compressed pickle (28.3 KB, ~2 KB
+compressed) keyed by ``n`` and the run config with network, topology and
+fault plan blanked (:meth:`~repro.qsmlib.RunConfig.recorded`): the
+inputs of the program's half of the run.  It is looked up inside the
+worker, so it serves any caller, but only while the memory tier is
+active and no sanitizer is armed, since the sanitizer checks the half
+that pricing skips.  :func:`clear_memo` empties the memory tier.
 """
 
 from __future__ import annotations
@@ -129,11 +117,9 @@ import itertools
 import os
 import pickle
 import sys
-import threading
 import time
 import types
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -302,21 +288,18 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: Optional[int] =
     exhausts its retries comes back as a :class:`FailedPoint` (test
     with :func:`is_failed`); everything else is unchanged.
 
-    With a result store installed (:func:`repro.store.set_store`) every
-    task is first looked up by its content key; cached points replay
-    their stored capture and only novel points execute.  Without one,
-    a module-level *fn* replays the points this process already computed
-    from the in-memory memo (see the module docstring).
+    With a result store installed (:func:`repro.store.set_store`), or
+    else with observability off, every task is first looked up by its
+    key in that tier of :mod:`repro.store`; cached points replay their
+    capture and only novel points execute (see the module docstring).
     """
     tasks = list(tasks)
     if not tasks:
         return []
-    if result_store.active_store() is not None:
-        return _merge_captures(_cached_map(fn, tasks, jobs))
-    if not obs.enabled() and _module_level(fn):
-        keys = _memo_keys(fn, tasks, jobs)
-        if any(keys):
-            return _merge_captures(_memo_map(fn, tasks, keys, jobs))
+    tier = _tier()
+    keys = _point_keys(fn, tasks, jobs, tier)
+    if any(keys):
+        return _merge_captures(_cached_map(fn, tasks, keys, jobs, tier))
     if _POLICY is None and min(effective_jobs(jobs), len(tasks)) <= 1:
         return [fn(t) for t in tasks]
     return _merge_captures(_captured_map(fn, tasks, jobs))
@@ -345,8 +328,7 @@ def _capture_task(fn: Callable[[T], R], task: T) -> tuple:
     ``QSM_OBS`` / ``QSM_SANITIZE`` / ``QSM_FAULTS`` environment
     variables.
     """
-    result = fn(task)
-    return result, obs.drain_payload(), check.drain_diagnostics(), faults.drain_tally()
+    return (fn(task),) + _drain_side_state()
 
 
 # ----------------------------------------------------------------------
@@ -372,14 +354,15 @@ def _merge_captures(entries: Sequence[_Entry]) -> List[Any]:
     return results
 
 
-def _hold_side_state() -> tuple:
-    """Drain whatever obs/diagnostic/tally state this process already
-    holds, to be re-merged *before* task captures.
+def _drain_side_state() -> tuple:
+    """Drain the obs payload, sanitizer diagnostics and fault tally this
+    process holds.
 
     The in-process capture loop drains global state after every task;
-    without this, state recorded before the map (a previous figure's
-    metrics, say) would be swept into the first task's cache entry and
-    replayed forever after.
+    the cache drains what it holds before the map, to be re-merged
+    *before* task captures, or state recorded before the map (a
+    previous figure's metrics, say) would be swept into the first
+    task's cache entry and replayed forever after.
     """
     return obs.drain_payload(), check.drain_diagnostics(), faults.drain_tally()
 
@@ -440,8 +423,17 @@ def _captured_map(
 
 
 # ----------------------------------------------------------------------
-# Content-addressed cache engine (repro.store)
+# Point cache (repro.store, either tier)
 # ----------------------------------------------------------------------
+def _tier() -> Any:
+    """The tier :func:`parallel_map` caches in: the installed store,
+    else the memory tier while observability is off, else none."""
+    installed = result_store.active_store()
+    if installed is not None or obs.enabled():
+        return installed
+    return result_store.memory_store()
+
+
 def _cache_env() -> Optional[dict]:
     """Ambient state folded into point keys: the armed global fault
     plan (a machine-pinned plan already travels in the task tuple), and
@@ -470,195 +462,6 @@ def _fn_name(fn: Callable) -> str:
     return f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"
 
 
-def _cached_map(fn: Callable[[T], R], tasks: List[T], jobs: Optional[int]) -> List[_Entry]:
-    """Partition *tasks* into cached vs novel points, execute only the
-    novel ones, and return entries in task order.
-
-    Identical keys inside one batch are computed once; keys already in
-    flight elsewhere (another thread of a sweep service) are waited on
-    and read back from the store (single-flight dedupe).  Failed points
-    are returned but never stored.
-    """
-    store = result_store.active_store()
-    assert store is not None
-    fn_name = _fn_name(fn)
-    env = _cache_env()
-    keys = [result_store.point_key(fn_name, t, env=env) for t in tasks]
-
-    held = _hold_side_state()
-    # Buffer the store counters' obs mirror: mirrored increments between
-    # two in-process tasks would be drained into the next task's stored
-    # capture and double-counted on every replay.
-    result_store.defer_obs_mirror()
-
-    try:
-        entry_by_key: Dict[str, _Entry] = {}
-        seen: set = set()
-        novel_keys: List[str] = []  # unique, first-seen order
-        novel_tasks: List[T] = []
-        for i, key in enumerate(keys):
-            if key in seen:
-                result_store.record(
-                    "coalesced", key=key, fn=fn_name, index=i, status="coalesced"
-                )
-                continue
-            seen.add(key)
-            capture = store.get_capture(key)
-            if capture is not None:
-                entry_by_key[key] = ("ok", capture)
-                result_store.record("hits", key=key, fn=fn_name, index=i, status="hit")
-            else:
-                novel_keys.append(key)
-                novel_tasks.append(tasks[i])
-
-        # Single-flight: lead the keys nobody else is computing; wait on
-        # the rest after our own batch finishes.
-        leaders: List[Tuple[str, T]] = []
-        followers: List[str] = []
-        for key, task in zip(novel_keys, novel_tasks):
-            if result_store.flight_begin(key):
-                leaders.append((key, task))
-            else:
-                followers.append(key)
-
-        def settle_leader(key: str, entry: _Entry) -> None:
-            """Store + release one computed point."""
-            status, value = entry
-            if status == "ok":
-                store.put_capture(key, value)
-            entry_by_key[key] = entry
-            result_store.flight_finish(key)
-            result_store.record(
-                "misses", key=key, fn=fn_name,
-                status="computed" if status == "ok" else "failed",
-            )
-
-        try:
-            _captured_map(
-                fn,
-                [t for _, t in leaders],
-                jobs,
-                progress=lambda j, entry: settle_leader(leaders[j][0], entry),
-            )
-        finally:
-            for key, _ in leaders:  # crash safety: never strand followers
-                result_store.flight_finish(key)
-
-        for key in followers:
-            result_store.flight_wait(key)
-            capture = store.get_capture(key)
-            if capture is not None:
-                entry_by_key[key] = ("ok", capture)
-                result_store.record("coalesced", key=key, fn=fn_name, status="hit")
-            else:
-                # The other flight failed or never stored; compute inline.
-                entry = _captured_map(fn, [novel_tasks[novel_keys.index(key)]], 1)[0]
-                if entry[0] == "ok":
-                    store.put_capture(key, entry[1])
-                result_store.record("misses", key=key, fn=fn_name, status="computed")
-                entry_by_key[key] = entry
-
-        # Re-merge pre-map state first, so merge order matches a plain
-        # run: everything recorded before the map, then task captures.
-        _merge_side_state(held)
-        return [entry_by_key[key] for key in keys]
-    finally:
-        result_store.flush_obs_mirror()
-
-
-# ----------------------------------------------------------------------
-# In-memory point memo (no store installed)
-# ----------------------------------------------------------------------
-#: Byte budget of the point memo: pickled captures plus their keys.
-MEMO_BUDGET_BYTES = 1 << 20
-
-#: Largest entry (key plus blob) the memo keeps.
-MEMO_ENTRY_CAP_BYTES = MEMO_BUDGET_BYTES // 16
-
-
-class _PointMemo:
-    """LRU of pickled point captures under a byte budget.
-
-    Holds bytes, not objects, so a caller that mutates a returned result
-    cannot change what a later replay returns.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._blobs: "OrderedDict[str, bytes]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._blobs)
-
-    def get(self, key: str) -> Optional[bytes]:
-        with self._lock:
-            blob = self._blobs.get(key)
-            if blob is not None:
-                self._blobs.move_to_end(key)
-            return blob
-
-    def put(self, key: str, blob: bytes) -> None:
-        size = len(key) + len(blob)
-        if size > self.budget:
-            return
-        with self._lock:
-            old = self._blobs.pop(key, None)
-            if old is not None:
-                self.nbytes -= len(key) + len(old)
-            self._blobs[key] = blob
-            self.nbytes += size
-            while self.nbytes > self.budget:
-                evicted, evicted_blob = self._blobs.popitem(last=False)
-                self.nbytes -= len(evicted) + len(evicted_blob)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._blobs.clear()
-            self.nbytes = 0
-
-
-_MEMO = _PointMemo(MEMO_BUDGET_BYTES)
-
-
-def clear_memo() -> None:
-    """Forget every memoized point and recorded run."""
-    _MEMO.clear()
-
-
-def _keep(key: str, blob: bytes) -> None:
-    """Keep one entry, unless it is above the entry cap."""
-    if len(key) + len(blob) <= MEMO_ENTRY_CAP_BYTES:
-        _MEMO.put(key, blob)
-
-
-def recorded_run(name: str, parts: Any, record: Callable[[], T]) -> Tuple[T, bool]:
-    """The recorded run of program *name* on *parts*, and whether
-    *record* was called to make it.
-
-    A run this process already recorded is recalled from the memo;
-    otherwise ``record()`` runs the program and its result is kept.
-    Nothing is recalled or kept while a store is installed,
-    observability is on or a sanitizer is armed, or when *parts* has no
-    fully structural form.
-    """
-    key = None
-    if result_store.active_store() is None and not obs.enabled() and not check.armed():
-        try:
-            key = result_store.point_key(f"recorded:{name}", parts, strict=True)
-        except result_store.NotStructural:
-            pass
-    if key is not None:
-        blob = _MEMO.get(key)
-        if blob is not None:
-            return pickle.loads(zlib.decompress(blob)), False
-    recorded = record()
-    if key is not None:
-        _keep(key, zlib.compress(pickle.dumps(recorded, protocol=pickle.HIGHEST_PROTOCOL)))
-    return recorded, True
-
-
 def _module_level(fn: Callable) -> bool:
     """Whether *fn* is a plain function bound under its own name at the
     top level of its module, so that its name identifies what it
@@ -669,16 +472,23 @@ def _module_level(fn: Callable) -> bool:
     return getattr(module, fn.__qualname__, None) is fn
 
 
-def _memo_keys(fn: Callable, tasks: List[Any], jobs: Optional[int]) -> List[Optional[str]]:
-    """Memo key of each task, ``None`` where the task has no fully
-    structural form."""
+def _point_keys(
+    fn: Callable, tasks: List[Any], jobs: Optional[int], tier: Any
+) -> List[Optional[str]]:
+    """Each task's key in *tier* (``None`` for a task with no fully
+    structural form); no keys without a tier or for a *fn* that is not
+    a module-level function."""
+    if tier is None or not _module_level(fn):
+        return []
+    env = _cache_env()
+    if isinstance(tier, result_store.MemoryStore):
+        env = {
+            "store": env,
+            "sync": SoftwareConfig().sync_path.value,
+            "jobs": effective_jobs(jobs),
+            "policy": _POLICY is not None,
+        }
     fn_name = _fn_name(fn)
-    env = {
-        "store": _cache_env(),
-        "sync": SoftwareConfig().sync_path.value,
-        "jobs": effective_jobs(jobs),
-        "policy": _POLICY is not None,
-    }
     keys: List[Optional[str]] = []
     for task in tasks:
         try:
@@ -688,48 +498,141 @@ def _memo_keys(fn: Callable, tasks: List[Any], jobs: Optional[int]) -> List[Opti
     return keys
 
 
-def _memo_map(
-    fn: Callable[[T], R], tasks: List[T], keys: List[Optional[str]], jobs: Optional[int]
+def _cached_map(
+    fn: Callable[[T], R],
+    tasks: List[T],
+    keys: List[Optional[str]],
+    jobs: Optional[int],
+    tier: Any,
 ) -> List[_Entry]:
-    """Replay the memoized points, run the rest on the capture engines
-    and keep each success; returns entries in task order."""
-    entries: List[Optional[_Entry]] = [None] * len(tasks)
-    novel: List[int] = []
-    for i, key in enumerate(keys):
-        blob = _MEMO.get(key) if key is not None else None
-        if blob is None:
-            novel.append(i)
-        else:
-            entries[i] = ("ok", pickle.loads(blob))
-    if not novel:
-        return entries
+    """Replay the points *tier* holds, execute the rest and keep each
+    success; returns entries in task order.
 
-    def keep(j: int, entry: _Entry) -> None:
-        i = novel[j]
-        entries[i] = entry
-        if entry[0] == "ok" and keys[i] is not None:
+    Identical keys inside one batch are computed once; keys already in
+    flight elsewhere (another thread of a sweep service) are waited on
+    and read back from the tier (single-flight dedupe).  A task without
+    a key runs every time.
+    """
+    fn_name = _fn_name(fn)
+    slots = [i if key is None else key for i, key in enumerate(keys)]
+    done: Dict[Any, _Entry] = {}
+    leaders: List[int] = []
+    followers: List[int] = []
+    held = _drain_side_state()
+    # Buffer the store counters' obs mirror: mirrored increments between
+    # two in-process tasks would be drained into the next task's kept
+    # capture and double-counted on every replay.
+    result_store.defer_obs_mirror()
+
+    def settle(i: int, entry: _Entry, led: bool = True) -> None:
+        """Keep and count one computed point; release its flight if led."""
+        done[slots[i]] = entry
+        key = keys[i]
+        if key is None:
+            return
+        status, value = entry
+        if status == "ok":
             try:
-                blob = pickle.dumps(entry[1], protocol=pickle.HIGHEST_PROTOCOL)
+                tier.put_capture(key, value)
             except (pickle.PicklingError, TypeError, AttributeError):
-                return  # an unpicklable result simply runs again
-            _keep(keys[i], blob)
+                pass  # an unpicklable result is returned, not kept
+        if led:
+            result_store.flight_finish(key)
+        result_store.record(
+            "misses", key=key, fn=fn_name,
+            status="computed" if status == "ok" else "failed",
+        )
 
-    held = _hold_side_state()
     try:
-        _captured_map(fn, [tasks[i] for i in novel], jobs, progress=keep)
+        seen: set = set()
+        for i, key in enumerate(keys):
+            if key in seen:
+                result_store.record(
+                    "coalesced", key=key, fn=fn_name, index=i, status="coalesced"
+                )
+                continue
+            if key is not None:
+                seen.add(key)
+                capture = tier.get_capture(key)
+                if capture is not None:
+                    done[key] = ("ok", capture)
+                    result_store.record("hits", key=key, fn=fn_name, index=i, status="hit")
+                    continue
+                # Single-flight: lead the keys nobody else is computing;
+                # wait on the rest after our own batch finishes.
+                if not result_store.flight_begin(key):
+                    followers.append(i)
+                    continue
+            leaders.append(i)
+
+        try:
+            _captured_map(
+                fn,
+                [tasks[i] for i in leaders],
+                jobs,
+                progress=lambda j, entry: settle(leaders[j], entry),
+            )
+        finally:
+            for i in leaders:  # crash safety: never strand followers
+                if keys[i] is not None:
+                    result_store.flight_finish(keys[i])
+
+        for i in followers:
+            result_store.flight_wait(keys[i])
+            capture = tier.get_capture(keys[i])
+            if capture is not None:
+                done[keys[i]] = ("ok", capture)
+                result_store.record("coalesced", key=keys[i], fn=fn_name, status="hit")
+            else:  # the other flight failed or never stored: compute inline
+                settle(i, _captured_map(fn, [tasks[i]], 1)[0], led=False)
+
+        # Re-merge pre-map state first, so merge order matches a plain
+        # run: everything recorded before the map, then task captures.
+        _merge_side_state(held)
     except BaseException:
         # Leave side state as the plain loop would: what came before the
         # map, the points before the one that raised, then its partial
         # state.
-        partial_state = _hold_side_state()
+        partial_state = _drain_side_state()
         _merge_side_state(held)
-        for entry in itertools.takewhile(lambda e: e is not None, entries):
-            if entry[0] == "ok":
-                _merge_side_state(entry[1][1:])
+        ran = itertools.takewhile(lambda e: e is not None, (done.get(s) for s in slots))
+        _merge_captures(list(ran))
         _merge_side_state(partial_state)
         raise
-    _merge_side_state(held)
-    return entries
+    finally:
+        result_store.flush_obs_mirror()
+    return [done[s] for s in slots]
+
+
+def clear_memo() -> None:
+    """Forget every point and recorded run the memory tier holds."""
+    result_store.memory_store().clear()
+
+
+def recorded_run(name: str, parts: Any, record: Callable[[], T]) -> Tuple[T, bool]:
+    """The recorded run of program *name* on *parts*, and whether
+    *record* was called to make it.
+
+    A run this process already recorded is recalled from the memory
+    tier; otherwise ``record()`` runs the program and its result is
+    kept.  Nothing is recalled or kept unless the memory tier is the
+    active tier, no sanitizer is armed and *parts* has a fully
+    structural form.
+    """
+    tier = _tier()
+    if not isinstance(tier, result_store.MemoryStore) or check.armed():
+        return record(), True
+    try:
+        key = result_store.point_key(f"recorded:{name}", parts, strict=True)
+    except result_store.NotStructural:
+        return record(), True
+    blob = tier.get_blob(key)
+    if blob is not None:
+        return pickle.loads(zlib.decompress(blob)), False
+    recorded = record()
+    blob = pickle.dumps(recorded, protocol=pickle.HIGHEST_PROTOCOL)
+    tier.put_blob(key, zlib.compress(blob))
+    return recorded, True
 
 
 # ----------------------------------------------------------------------

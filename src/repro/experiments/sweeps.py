@@ -121,7 +121,7 @@ def sample_sort_run(machine: MachineConfig, n: int, run_seed: int) -> RunResult:
     The program's half of the run depends on *n* and the config's
     :meth:`~repro.qsmlib.RunConfig.recorded` part (which carries the
     seed) alone.  When this process has already run the program for
-    another machine, and the executor's memo allows it
+    another machine, and the point cache's memory tier is active
     (:func:`~repro.experiments.executor.recorded_run`), the recorded
     run is priced on this one (:func:`~repro.qsmlib.price_run`) instead
     of run again; the result is the same.

@@ -76,10 +76,15 @@ def bsp_comm_cycles(profile: PhaseProfile, costs: CommCostModel) -> float:
 def logp_comm_cycles(profile: PhaseProfile, costs: CommCostModel) -> float:
     """LogP price of a profile's per-phase message counts.
 
-    Uses the machine's real ``l`` and ``o``; the injection gap is the
-    effective per-word cost (the bulk messages of these algorithms are
-    word-dominated), averaged over the put/get directions.  Phases
-    without messages cost nothing.
+    A phase with ``M`` messages costs ``o + (M-1)*max(g, o) + l + o``,
+    with the machine's real ``l`` and ``o`` and ``g`` the effective
+    per-word cost averaged over the put/get directions.  Each message
+    is charged one word's gap whatever it carries, so this prices a
+    phase's message count, ``l`` and ``o``, not its volume: the
+    per-message floor.  Sample sort sends as many messages at every
+    ``n``, so on fig2 ``--fast`` it reads 61,380 cycles at every ``n``
+    while the measured communication grows from 1,722,904 to
+    38,053,460 cycles.  Phases without messages cost nothing.
     """
     net = costs.network
     l, o = net.latency_cycles, net.overhead_cycles

@@ -1,29 +1,31 @@
 """``repro.store`` — content-addressed memoization of sweep points.
 
 Every sweep point replays byte-identically from a pickled capture
-(result plus obs/sanitizer/fault side state), so one store serves as
-both the result cache and the checkpoint an interrupted sweep resumes
-from:
+(result plus obs/sanitizer/fault side state), kept in one of two tiers
+with one surface (``get_blob``/``put_blob``/``get_capture``/
+``put_capture``):
 
+* :mod:`repro.store.cas` — the on-disk tier (atomic writes,
+  integrity-checked reads, ``stats``/``gc``): both the result cache
+  and the checkpoint an interrupted sweep resumes from;
+* :mod:`repro.store.memory` — the in-memory tier, a 1 MiB LRU for the
+  life of the process, which also holds recorded sample-sort runs;
 * :mod:`repro.store.keys` — canonical, version-salted point keys (a
-  stable structural digest of the task tuple + the armed fault plan,
-  replacing the interpreter-sensitive ``repr`` hash);
-* :mod:`repro.store.cas` — the on-disk content-addressed store
-  (atomic writes, integrity-checked reads, ``stats``/``gc``);
+  stable structural digest of the task tuple + the armed fault plan);
 * :mod:`repro.store.flight` — single-flight dedupe so identical
   in-flight points are computed once.
 
 Like ``repro.obs``/``repro.check``/``repro.faults``, activation is a
 process-global switch: :func:`set_store` (the CLI ``--cache DIR`` or
 ``--checkpoint DIR`` flag, the ``serve`` subcommand, or
-``QSM_CACHE=DIR`` in the environment) installs a store, and
-:func:`repro.experiments.executor.parallel_map` then partitions every
-task list into cached vs novel points — a second identical sweep
-executes **zero** simulator points.  Hit/miss/
-coalesced/in-flight counters are kept here (:func:`counters`) and
-mirrored into :mod:`repro.obs` as ``store.*`` counters whenever
-observability is enabled; :func:`set_listener` streams per-point
-events to the sweep service (docs/SERVICE.md).
+``QSM_CACHE=DIR`` in the environment) installs an on-disk store, and
+:func:`repro.experiments.executor.parallel_map` caches in it, else in
+:func:`memory_store` while observability is off — a second identical
+sweep executes **zero** simulator points.  Hit/miss/coalesced/in-flight
+counters cover both tiers (:func:`counters`) and are mirrored into
+:mod:`repro.obs` as ``store.*`` counters whenever observability is
+enabled; :func:`set_listener` streams per-point events to the sweep
+service (docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ from repro.store.keys import (
     point_key,
     request_key,
 )
+from repro.store.memory import MemoryStore
 
 __all__ = [
     "ResultStore",
+    "MemoryStore",
     "StoreStats",
     "SingleFlight",
     "FileFlight",
@@ -57,6 +61,7 @@ __all__ = [
     "set_store",
     "clear_store",
     "active_store",
+    "memory_store",
     "counters",
     "reset_counters",
     "record",
@@ -66,13 +71,13 @@ __all__ = [
     "flight_begin",
     "flight_wait",
     "flight_finish",
-    "inflight",
 ]
 
 #: Env var installing a store for a whole process (``QSM_CACHE=DIR``).
 ENV_VAR = "QSM_CACHE"
 
 _STORE: Optional[ResultStore] = None
+_MEMORY = MemoryStore()
 _FLIGHT = SingleFlight()
 #: Cross-process single-flight bound to the installed store's directory
 #: (two *processes* sharing a store coalesce identical in-flight points,
@@ -96,7 +101,7 @@ def set_store(store: Union[ResultStore, str, os.PathLike]) -> ResultStore:
 
 
 def clear_store() -> None:
-    """Uninstall the store (``parallel_map`` reverts to plain execution)."""
+    """Uninstall the store (``parallel_map`` reverts to the memory tier)."""
     global _STORE, _CROSS
     _STORE = None
     _CROSS = None
@@ -111,6 +116,11 @@ def _flight():
 def active_store() -> Optional[ResultStore]:
     """The installed store, or ``None`` (the zero-overhead default)."""
     return _STORE
+
+
+def memory_store() -> MemoryStore:
+    """The process's in-memory tier."""
+    return _MEMORY
 
 
 # -- hit/miss/coalesced counters ---------------------------------------
@@ -213,10 +223,6 @@ def flight_wait(key: str, timeout: Optional[float] = None) -> bool:
 
 def flight_finish(key: str) -> None:
     _flight().finish(key)
-
-
-def inflight() -> int:
-    return _flight().inflight()
 
 
 # Honour QSM_CACHE=DIR at import (mirrors the QSM_OBS/QSM_FAULTS idiom)

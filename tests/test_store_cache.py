@@ -6,9 +6,10 @@ cached runs under any job count; failures are never cached; the
 hit/miss/coalesced counters surface through repro.store and repro.obs;
 key invalidation covers the version salt, the armed fault plan and the
 obs and sanitizer modes.  ``TestProcessMemo`` pins, clause by clause,
-the in-memory memo that replays points when no store is installed
-(the executor's module docstring), and ``TestRecordedRuns`` the
-recorded sample-sort runs that memo prices on other machines.
+the in-memory tier that replays points when no store is installed
+(the executor's module docstring), ``TestDiskStoreTier`` the rules the
+on-disk tier shares with it, and ``TestRecordedRuns`` the recorded
+sample-sort runs the memory tier prices on other machines.
 """
 
 import functools
@@ -30,6 +31,7 @@ from repro.experiments.executor import (
 from repro.experiments.sweeps import sample_sort_run
 from repro.faults.plan import FaultPlan
 from repro.machine.config import ClusterTopology, MachineConfig, NodeConfig
+from repro.store.memory import MEMO_BUDGET_BYTES, MEMO_ENTRY_CAP_BYTES
 from tests.test_parallel_executor import _racy_point
 from tests.test_price_differential import assert_same_run
 
@@ -98,6 +100,12 @@ def _counted_bytes(size):
     return bytes(size)
 
 
+def _counted_lock(x):
+    """Returns a result that does not pickle."""
+    _counted_square(x)
+    return x, threading.Lock()
+
+
 def _counted_tag(task):
     with open(_count_file(), "a") as fh:
         fh.write(f"{task[0]}\n")
@@ -117,6 +125,13 @@ class _Square:
 
 class _Opaque:
     """Has no canonical form: its repr embeds its address."""
+
+
+def _held(tier) -> int:
+    """Entries the tier under test holds."""
+    if tier == "memory":
+        return len(store.memory_store())
+    return len(store.active_store().keys())
 
 
 @pytest.fixture
@@ -161,10 +176,12 @@ class TestSecondRunIsFree:
 
     def test_uninstalled_store_means_in_memory_replay(self, count_file):
         assert store.active_store() is None
+        store.reset_counters()
         assert parallel_map(_counted_square, [1, 2], jobs=1) == [1, 4]
         assert parallel_map(_counted_square, [1, 2], jobs=1) == [1, 4]
-        assert _executions() == 2  # the process memo replayed both points
-        assert store.counters()["hits"] == 0  # and no store was consulted
+        assert _executions() == 2  # the memory tier replayed both points
+        counts = store.counters()  # and counted them as the disk tier does
+        assert (counts["hits"], counts["misses"]) == (2, 2)
 
 
 class TestFailuresAndSideState:
@@ -194,6 +211,25 @@ class TestFailuresAndSideState:
         obs.metrics().counter("parent.pre").inc(3)
         parallel_map(_counted_square, [5], jobs=1)
         assert obs.metrics().counter("parent.pre").value == 3
+
+    def test_failed_follower_is_reported_failed(self, cache, count_file):
+        # Another flight holds the point and finishes without storing it,
+        # so this sweep computes it inline: a failure must stream as one.
+        executor.set_policy(ExecutionPolicy(max_retries=0, backoff_seconds=0.0))
+        key = store.point_key(f"{__name__}._poisoned", 2)
+        assert store.flight_begin(key)
+        events = []
+        store.set_listener(events.append)
+        release = threading.Timer(0.2, store.flight_finish, args=(key,))
+        release.start()
+        try:
+            out = parallel_map(_poisoned, [2], jobs=1)
+        finally:
+            release.join()
+        assert is_failed(out[0]) and len(executor.drain_failures()) == 1
+        assert store.counters()["inflight"] == 1  # the sweep followed this flight
+        assert [(e["counter"], e["status"]) for e in events] == [("misses", "failed")]
+        assert _executions() == 1 and store.active_store().keys() == []
 
 
 class TestInvalidation:
@@ -265,13 +301,110 @@ class TestInvalidation:
         assert a == c  # jobs never changes identity
 
 
-class TestProcessMemo:
+class _TierRules:
+    """The cache rules both tiers keep; a subclass's ``tier`` fixture
+    picks the tier ("memory", or "disk" with a store installed)."""
+
+    @pytest.mark.parametrize(
+        "make_fn",
+        [
+            lambda: (lambda x: _counted_square(x)),
+            lambda: functools.partial(_counted_square),
+            lambda: _Square(),
+            lambda: _Square().__call__,
+        ],
+        ids=["lambda", "partial", "instance", "method"],
+    )
+    def test_only_module_level_functions(self, tier, make_fn, count_file):
+        fn = make_fn()
+        for _ in range(2):
+            assert parallel_map(fn, [1, 2], jobs=1) == [1, 4]
+        assert _executions() == 4 and _held(tier) == 0
+
+    def test_closures_and_rebound_functions_run_every_time(self, tier, count_file, monkeypatch):
+        original = _counted_square
+
+        def closure(x):
+            return original(x)
+
+        monkeypatch.setattr(sys.modules[__name__], "_counted_square", closure)
+        for fn in (closure, original):  # original is no longer bound by name
+            parallel_map(fn, [1, 2], jobs=1)
+            parallel_map(fn, [1, 2], jobs=1)
+        assert _executions() == 8 and _held(tier) == 0
+
+        def scaled(k):
+            def times_k(x):
+                return k * x
+
+            return times_k
+
+        # One qualified name, two captured values: two answers.
+        assert parallel_map(scaled(2), [1, 2], jobs=1) == [2, 4]
+        assert parallel_map(scaled(3), [1, 2], jobs=1) == [3, 6]
+
+    def test_only_structural_tasks(self, tier, count_file):
+        tasks = [("a", 1), ("b", _Opaque()), ("c", 2)]
+        assert parallel_map(_counted_tag, tasks, jobs=1) == ["a", "b", "c"]
+        assert parallel_map(_counted_tag, tasks, jobs=1) == ["a", "b", "c"]
+        with open(_count_file()) as fh:
+            assert fh.read().split() == ["a", "b", "c", "b"]
+
+    def test_only_successful_points_kept(self, tier, count_file):
+        executor.set_policy(ExecutionPolicy(max_retries=0, backoff_seconds=0.0))
+        for _ in range(2):
+            out = parallel_map(_poisoned, [1, 2, 3], jobs=1)
+            assert out[0] == 1 and is_failed(out[1]) and out[2] == 9
+            assert len(executor.drain_failures()) == 1
+        assert _executions() == 3 + 1  # only the failed point ran again
+        executor.clear_policy()
+        for _ in range(2):  # plain engine: the raise propagates, each time
+            with pytest.raises(ValueError, match="poisoned point 2"):
+                parallel_map(_poisoned, [1, 2, 3], jobs=1)
+        # Only memory keys the policy, so there point 1 ran once more.
+        assert _executions() == 4 + (2 if tier == "memory" else 1) + 1
+
+    def test_raise_keeps_the_side_state_of_earlier_points(self, tier, sanitizer_warn, capsys):
+        _racy_point(6)  # recorded before the map
+        with pytest.raises(ValueError):
+            parallel_map(_racy_or_raise, [3, 4, -1, 5], jobs=1)
+        cells = [d.message.split("cell ")[1][0] for d in check.drain_diagnostics()]
+        assert cells == ["2", "3", "0"]  # as the plain loop left them
+        capsys.readouterr()
+
+    def test_replays_side_state(self, tier, sanitizer_warn, capsys):
+        for _ in range(2):
+            assert parallel_map(_racy_point, [3, 4], jobs=1) == [3, 4]
+            assert [d.code for d in check.drain_diagnostics()] == ["QS002"] * 2
+        assert _held(tier) == 2
+        capsys.readouterr()
+
+    def test_holds_bytes_not_objects(self, tier, count_file):
+        first = parallel_map(_counted_list, [3], jobs=1)
+        first[0].append("mutated by the caller")
+        assert parallel_map(_counted_list, [3], jobs=1) == [[3]]
+        assert _executions() == 1
+        if tier == "memory":
+            assert MEMO_BUDGET_BYTES == store.memory_store().budget == 1 << 20
+
+    def test_unpicklable_results_are_returned_not_kept(self, tier, count_file):
+        for _ in range(2):
+            out = parallel_map(_counted_lock, [1, 2], jobs=1)
+            assert [x for x, _ in out] == [1, 2]
+        assert _executions() == 4 and _held(tier) == 0
+
+
+class TestProcessMemo(_TierRules):
     """Without a store, module-level workers replay repeated points."""
+
+    @pytest.fixture
+    def tier(self):
+        return "memory"
 
     def test_obs_on_runs_every_time(self, count_file, obs_state):
         parallel_map(_counted_square, [1, 2], jobs=1)
         parallel_map(_counted_square, [1, 2], jobs=1)
-        assert _executions() == 4 and len(executor._MEMO) == 0
+        assert _executions() == 4 and len(store.memory_store()) == 0
 
     def test_installed_store_keeps_the_store_path(self, tmp_path, count_file):
         parallel_map(_counted_square, [1, 2], jobs=1)  # memo now holds both
@@ -314,111 +447,49 @@ class TestProcessMemo:
         parallel_map(_counted_square, [1], jobs=1)
         assert _executions() == 1
 
-    @pytest.mark.parametrize(
-        "make_fn",
-        [
-            lambda: (lambda x: _counted_square(x)),
-            lambda: functools.partial(_counted_square),
-            lambda: _Square(),
-            lambda: _Square().__call__,
-        ],
-        ids=["lambda", "partial", "instance", "method"],
-    )
-    def test_only_module_level_functions(self, make_fn, count_file):
-        fn = make_fn()
-        for _ in range(2):
-            assert parallel_map(fn, [1, 2], jobs=1) == [1, 4]
-        assert _executions() == 4 and len(executor._MEMO) == 0
+    def test_duplicate_tasks_coalesce_in_batch(self, count_file):
+        store.reset_counters()
+        assert parallel_map(_counted_square, [3, 3, 3], jobs=1) == [9, 9, 9]
+        assert _executions() == 1
+        assert store.counters()["coalesced"] == 2
 
-    def test_closures_and_rebound_functions_run_every_time(self, count_file, monkeypatch):
-        original = _counted_square
-
-        def closure(x):
-            return original(x)
-
-        monkeypatch.setattr(sys.modules[__name__], "_counted_square", closure)
-        for fn in (closure, original):  # original is no longer bound by name
-            parallel_map(fn, [1, 2], jobs=1)
-            parallel_map(fn, [1, 2], jobs=1)
-        assert _executions() == 8 and len(executor._MEMO) == 0
-
-    def test_only_structural_tasks(self, count_file):
-        tasks = [("a", 1), ("b", _Opaque()), ("c", 2)]
-        assert parallel_map(_counted_tag, tasks, jobs=1) == ["a", "b", "c"]
-        assert parallel_map(_counted_tag, tasks, jobs=1) == ["a", "b", "c"]
-        with open(_count_file()) as fh:
-            assert fh.read().split() == ["a", "b", "c", "b"]
-
-    def test_only_successful_points_kept(self, count_file):
-        executor.set_policy(ExecutionPolicy(max_retries=0, backoff_seconds=0.0))
-        for _ in range(2):
-            out = parallel_map(_poisoned, [1, 2, 3], jobs=1)
-            assert out[0] == 1 and is_failed(out[1]) and out[2] == 9
-            assert len(executor.drain_failures()) == 1
-        assert _executions() == 3 + 1  # only the failed point ran again
-        executor.clear_policy()
-        for _ in range(2):  # plain engine: the raise propagates, each time
-            with pytest.raises(ValueError, match="poisoned point 2"):
-                parallel_map(_poisoned, [1, 2, 3], jobs=1)
-        assert _executions() == 4 + 2 + 1
-
-    def test_raise_keeps_the_side_state_of_earlier_points(self, sanitizer_warn, capsys):
-        _racy_point(6)  # recorded before the map
-        with pytest.raises(ValueError):
-            parallel_map(_racy_or_raise, [3, 4, -1, 5], jobs=1)
-        cells = [d.message.split("cell ")[1][0] for d in check.drain_diagnostics()]
-        assert cells == ["2", "3", "0"]  # as the plain loop left them
-        capsys.readouterr()
-
-    def test_replays_side_state(self, sanitizer_warn, capsys):
-        for _ in range(2):
-            assert parallel_map(_racy_point, [3, 4], jobs=1) == [3, 4]
-            assert [d.code for d in check.drain_diagnostics()] == ["QS002"] * 2
-        assert len(executor._MEMO) == 2
-        capsys.readouterr()
-
-    def test_hits_leave_store_counters_and_listener_alone(self, count_file):
+    def test_hits_count_in_store_counters_and_listener(self, count_file):
         events = []
         store.reset_counters()
         store.set_listener(events.append)
         for _ in range(2):
             parallel_map(_counted_square, [1, 2], jobs=1)
         assert _executions() == 2
-        assert events == []
+        assert [(e["counter"], e["status"]) for e in events] == [
+            ("misses", "computed"), ("misses", "computed"), ("hits", "hit"), ("hits", "hit")
+        ]
         counts = store.counters()
-        assert all(counts[k] == 0 for k in ("hits", "misses", "coalesced", "inflight"))
-
-    def test_holds_bytes_not_objects(self, count_file):
-        first = parallel_map(_counted_list, [3], jobs=1)
-        first[0].append("mutated by the caller")
-        assert parallel_map(_counted_list, [3], jobs=1) == [[3]]
-        assert _executions() == 1
-        assert executor.MEMO_BUDGET_BYTES == executor._MEMO.budget == 1 << 20
+        assert [counts[k] for k in ("hits", "misses", "coalesced", "inflight")] == [2, 2, 0, 2]
 
     def test_lru_under_a_byte_budget(self):
-        memo = executor._PointMemo(budget=300)
+        memo = store.MemoryStore(budget=300)
         blob = b"x" * 90
         for key in ("k1", "k2", "k3"):
-            memo.put(key, blob)
+            memo.put_blob(key, blob)
         assert len(memo) == 3 and memo.nbytes == 3 * 92
-        assert memo.get("k1") == blob  # k1 is now the most recent
-        memo.put("k4", blob)  # evicts k2, the least recently used
-        assert memo.get("k2") is None and memo.get("k1") == blob
+        assert memo.get_blob("k1") == blob  # k1 is now the most recent
+        memo.put_blob("k4", blob)  # evicts k2, the least recently used
+        assert memo.get_blob("k2") is None and memo.get_blob("k1") == blob
         assert memo.nbytes == 3 * 92
-        memo.put("big", b"y" * 400)  # larger than the budget: not kept
-        assert memo.get("big") is None and len(memo) == 3
+        memo.put_blob("big", b"y" * 400)  # larger than the budget: not kept
+        assert memo.get_blob("big") is None and len(memo) == 3
         memo.clear()
         assert len(memo) == 0 and memo.nbytes == 0
 
     def test_lru_accounting_survives_threads(self):
-        memo = executor._PointMemo(budget=2_000)
+        memo = store.MemoryStore(budget=2_000)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
 
         def churn(t):
             for i in range(400):
-                memo.put(f"k{(t * 7 + i) % 50}", bytes(10 + (i + t) % 30))
-                memo.get(f"k{i % 50}")
+                memo.put_blob(f"k{(t * 7 + i) % 50}", bytes(10 + (i + t) % 30))
+                memo.get_blob(f"k{i % 50}")
 
         try:
             threads = [threading.Thread(target=churn, args=(t,)) for t in range(8)]
@@ -433,14 +504,15 @@ class TestProcessMemo:
         assert memo.nbytes == held <= memo.budget
 
     def test_over_cap_capture_is_not_kept(self, count_file):
+        memory = store.memory_store()
         parallel_map(_counted_square, [1, 2], jobs=1)
-        held = (len(executor._MEMO), executor._MEMO.nbytes)
-        big = executor.MEMO_ENTRY_CAP_BYTES
-        assert executor.MEMO_ENTRY_CAP_BYTES == executor.MEMO_BUDGET_BYTES // 16
+        held = (len(memory), memory.nbytes)
+        big = MEMO_ENTRY_CAP_BYTES
+        assert MEMO_ENTRY_CAP_BYTES == MEMO_BUDGET_BYTES // 16
         for _ in range(2):
             assert parallel_map(_counted_bytes, [big], jobs=1) == [bytes(big)]
         assert _executions() == 2 + 2  # the big point ran both times
-        assert (len(executor._MEMO), executor._MEMO.nbytes) == held  # evicting nothing
+        assert (len(memory), memory.nbytes) == held  # evicting nothing
         parallel_map(_counted_square, [1, 2], jobs=1)
         assert _executions() == 4
 
@@ -456,6 +528,15 @@ class TestProcessMemo:
         warm = run_experiment("table4", fast=True, seed=0).to_json_dict()["data"]
         assert cold_points - sum(sample_sort_calls.values()) == 36
         assert warm == cold
+
+
+class TestDiskStoreTier(_TierRules):
+    """With a store installed, the disk tier keeps the same rules."""
+
+    @pytest.fixture
+    def tier(self, tmp_path):
+        store.set_store(tmp_path / "cas")
+        return "disk"
 
 
 @pytest.fixture
@@ -555,16 +636,17 @@ class TestRecordedRuns:
             check.disarm()
             store.clear_store()
         assert sample_sort_calls == {"runs": 2}
-        assert len(executor._MEMO) == 0
+        assert len(store.memory_store()) == 0
 
     def test_held_compressed_and_forgotten_on_clear(self, sample_sort_calls):
         run = self._point()
-        assert len(executor._MEMO) == 1
-        (key, blob), = executor._MEMO._blobs.items()
+        memory = store.memory_store()
+        assert len(memory) == 1
+        (key, blob), = memory._blobs.items()
         recorded, traffic = pickle.loads(zlib.decompress(blob))
         assert len(traffic) == recorded.n_phases == run.n_phases == 5
         assert len(blob) * 4 < len(zlib.decompress(blob))
-        assert executor._MEMO.nbytes == len(key) + len(blob) <= executor.MEMO_ENTRY_CAP_BYTES
+        assert memory.nbytes == len(key) + len(blob) <= MEMO_ENTRY_CAP_BYTES
         executor.clear_memo()
         self._point()
         assert sample_sort_calls == {"runs": 2}
