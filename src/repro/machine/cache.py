@@ -25,7 +25,7 @@ from repro.machine.config import CacheConfig, NodeConfig
 # ----------------------------------------------------------------------
 # Access-pattern descriptors
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryAccess:
     """Base class for access-pattern descriptors.
 
@@ -43,7 +43,7 @@ class MemoryAccess:
             raise ValueError(f"word_bytes must be >= 1, got {self.word_bytes}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequentialAccess(MemoryAccess):
     """A streaming pass over ``count`` consecutive words.
 
@@ -51,7 +51,7 @@ class SequentialAccess(MemoryAccess):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomAccess(MemoryAccess):
     """``count`` uniform-random references within a ``region_words`` window.
 
@@ -63,7 +63,9 @@ class RandomAccess(MemoryAccess):
     region_words: int = 1
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        # Named, not super(): slots=True makes a new class, which a
+        # zero-argument super() in its body does not know.
+        MemoryAccess.__post_init__(self)
         if self.region_words < 1:
             raise ValueError(f"region_words must be >= 1, got {self.region_words}")
 

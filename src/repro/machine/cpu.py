@@ -20,6 +20,7 @@ work) and adding only the non-overlappable memory and branch stalls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
@@ -27,7 +28,7 @@ from repro.machine.cache import AnalyticCache, MemoryAccess
 from repro.machine.config import NodeConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpProfile:
     """An abstract description of a chunk of local computation.
 
@@ -81,7 +82,7 @@ class OpProfile:
 class CPUModel:
     """Convert :class:`OpProfile` chunks to cycle counts for one node."""
 
-    #: cycles() memos, one dict per distinct (frozen) node config —
+    #: cost() memos, one dict per distinct (frozen) node config —
     #: shared across CPUModel instances so the p per-node models of a
     #: machine, and fresh machines built for every sweep point, all hit
     #: the same cache.
@@ -90,16 +91,37 @@ class CPUModel:
     def __init__(self, node: NodeConfig) -> None:
         self.node = node
         self.cache = AnalyticCache(node)
-        # cycles() is a pure function of the (frozen) profile and the
+        # cost() is a pure function of the (frozen) profile and the
         # immutable node config; memoised because SPMD programs charge
         # the same profile once per processor every phase.
-        self._cycles_memo = CPUModel._shared_memos.setdefault(node, {})
+        self._memo = CPUModel._shared_memos.setdefault(node, {})
+
+    def cost(self, profile: OpProfile) -> Tuple[float, float]:
+        """``(cycles, instructions)`` of *profile* on this node.
+
+        Each distinct profile is priced and checked once: a profile
+        whose instruction or cycle count is not finite raises
+        :class:`ValueError` (NaN/inf would silently poison every
+        downstream phase timing), and is not memoised.
+        """
+        found = self._memo.get(profile)
+        if found is None:
+            total = profile.total_instructions
+            if not math.isfinite(total):
+                raise ValueError(
+                    f"OpProfile totals must be finite, got {total!r} instructions"
+                )
+            cycles = self._cycles(profile)
+            if not math.isfinite(cycles):
+                raise ValueError(f"OpProfile costs a non-finite cycle count ({cycles!r})")
+            found = self._memo[profile] = (cycles, total)
+        return found
 
     def cycles(self, profile: OpProfile) -> float:
         """Expected execution cycles for *profile* on this node."""
-        cached = self._cycles_memo.get(profile)
-        if cached is not None:
-            return cached
+        return self.cost(profile)[0]
+
+    def _cycles(self, profile: OpProfile) -> float:
         node = self.node
         issue_bound = profile.total_instructions / node.issue_width
         int_bound = profile.int_ops * node.fu_latency / node.int_units
@@ -111,9 +133,7 @@ class CPUModel:
         branch_stall = (
             profile.branches * node.branch_mispredict_rate * node.branch_mispredict_penalty
         )
-        result = throughput + mem_stall + branch_stall
-        self._cycles_memo[profile] = result
-        return result
+        return throughput + mem_stall + branch_stall
 
     def copy_cycles(self, nbytes: float, resident: bool = False) -> float:
         """Cycles to memcpy *nbytes* (used by the qsmlib software model)."""

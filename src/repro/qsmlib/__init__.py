@@ -36,7 +36,7 @@ from repro.qsmlib.plan import (
     check_phase_semantics,
     compute_kappa,
 )
-from repro.qsmlib.program import QSMMachine, RunConfig, SPMDError, price_run, run_program
+from repro.qsmlib.program import QSMMachine, RunConfig, SPMDError, price_run
 from repro.qsmlib.requests import GetHandle, RequestQueue
 from repro.qsmlib.runtime import PhaseTiming, SyncEngine
 from repro.qsmlib.stats import PhaseRecord, RunResult
@@ -65,7 +65,6 @@ __all__ = [
     "RunConfig",
     "SPMDError",
     "price_run",
-    "run_program",
     "GetHandle",
     "RequestQueue",
     "PhaseTiming",

@@ -61,15 +61,13 @@ class QSMContext:
     # Local computation accounting
     # ------------------------------------------------------------------
     def charge(self, profile: OpProfile) -> float:
-        """Charge a chunk of local work described by *profile*; returns cycles."""
-        total = profile.total_instructions
-        if not math.isfinite(total):
-            raise ValueError(
-                f"OpProfile totals must be finite, got {total!r} instructions"
-            )
-        cycles = self.cpu.cycles(profile)
-        if not math.isfinite(cycles):
-            raise ValueError(f"OpProfile costs a non-finite cycle count ({cycles!r})")
+        """Charge a chunk of local work described by *profile*; returns cycles.
+
+        A profile whose instruction or cycle count is not finite raises
+        :class:`ValueError` (see :meth:`CPUModel.cost
+        <repro.machine.cpu.CPUModel.cost>`).
+        """
+        cycles, total = self.cpu.cost(profile)
         self._compute_cycles += cycles
         self._op_count += total
         return cycles

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -340,13 +340,14 @@ class _MixedCostModel:
 # The epoch sync path (see repro.qsmlib.epoch) prices a whole phase at
 # once: every per-pair, per-message and per-chunk charge the DES node
 # processes would accumulate step by step is computed here as numpy
-# array math over the realized traffic matrices.  Bit-identity with the
-# DES demands care with float evaluation order: every expression below
-# mirrors the exact left-to-right arithmetic of
-# ``SyncEngine._node_proc`` (an ``int * float`` in Python and an
-# ``int64 * float64`` broadcast perform the same IEEE-754 operation,
-# and ``np.cumsum`` is a strictly sequential accumulate, unlike the
-# pairwise ``np.sum``).
+# array math over the realized traffic matrices.  A run's traffic is
+# fixed before any of it is priced, so the tables of all its phases are
+# built in one stacked pass.  Bit-identity with the DES demands care
+# with float evaluation order: every expression below mirrors the exact
+# left-to-right arithmetic of ``SyncEngine._node_proc`` (an
+# ``int * float`` in Python and an ``int64 * float64`` broadcast perform
+# the same IEEE-754 operation, and ``np.cumsum`` is a strictly
+# sequential accumulate, unlike the pairwise ``np.sum``).
 
 
 @dataclass
@@ -382,12 +383,13 @@ class EpochTables:
     """Everything the epoch kernel needs to replay one phase.
 
     Indexed by pid throughout.  A ``None`` stage means no sender injects
-    anything in it.
+    anything in it.  The plan and the control charges are the same in
+    every phase of a run, so its phases share them.
     """
 
     p: int
     #: Entry bookkeeping charged after compute (sync_fixed + local words).
-    entry_overhead: np.ndarray
+    entry_overhead: list
     #: Plan stage: every node sends one equal-size message to each of
     #: the other p-1, in its peer order (priced per tier on a cluster).
     plan: StageChunks
@@ -475,39 +477,80 @@ class _TierMatrices:
         self.n_nodes = int(node_of[-1]) + 1
 
 
-def _stage_chunks(words, gap_m, wire_m, perm, sw, network, tier=None):
-    """Flatten per-pair (words, gap, wire) matrices into one stage's
-    chunk streams plus the per-receiver expected chunk counts.
+class _StageStack:
+    """One stage's chunk streams for every phase of a run: flat numpy
+    arrays in (phase, sender, injection) order, with per-phase chunk
+    bounds, sender offsets, sender byte totals and expected counts.
+    :meth:`phase` cuts out one phase's lists."""
 
-    All senders' streams are built in one batch of whole-matrix passes
-    (row-major order == each sender's injection order).  With a
-    :class:`_TierMatrices` *tier*, every per-chunk charge is looked up
-    per (src, dst) pair instead of the flat scalars.  Returns ``None``
-    for a stage without chunks.
+    __slots__ = (
+        "bounds", "dsts", "gaps", "occupancy", "holds", "lats", "queues",
+        "offsets", "sender_bytes", "expected",
+    )
+
+    def phase(self, i: int) -> tuple:
+        """Phase *i*'s :class:`StageChunks` (``None`` when it has no
+        chunks) and its per-receiver expected chunk counts."""
+        expected = self.expected[i].tolist()
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        if lo == hi:
+            return None, expected
+        occ = self.occupancy[lo:hi].tolist()
+        stage = StageChunks(
+            dsts=self.dsts[lo:hi].tolist(),
+            gaps=self.gaps[lo:hi].tolist(),
+            occupancy=occ,
+            holds=occ if self.holds is None else self.holds[lo:hi].tolist(),
+            offsets=self.offsets[i].tolist(),
+            sender_bytes=self.sender_bytes[i].tolist(),
+            lats=None if self.lats is None else self.lats[lo:hi].tolist(),
+            queues=None if self.queues is None else self.queues[lo:hi].tolist(),
+        )
+        return stage, expected
+
+
+def _stage_chunks(gap_m, wire_m, perm, sw, network, tier=None) -> _StageStack:
+    """Flatten one stage's stacked per-pair (gap, wire) matrices into
+    every phase's chunk streams and per-receiver expected chunk counts.
+
+    *gap_m* and *wire_m* are ``(phases, p, p)`` stacks.  Every (phase,
+    sender) pair is one row of a single batch of whole-matrix passes,
+    with the peer order *perm* tiled over the phases, so row-major order
+    is phase order, then each phase's senders in pid order, each in its
+    injection order.  With a :class:`_TierMatrices` *tier*, every
+    per-chunk charge is looked up per (src, dst) pair instead of the
+    flat scalars.
     """
-    p = words.shape[0]
+    k, p, _ = wire_m.shape
     hdr = sw.message_header_bytes
     maxb = sw.max_message_bytes
     o = network.overhead_cycles
     g = network.gap_cycles_per_byte
+    stack = _StageStack()
     full, rest_m = np.divmod(wire_m, maxb)
     cnt_m = full + (rest_m > 0)
-    expected = cnt_m.sum(axis=0).tolist()
-    rows = np.arange(p)[:, None]
-    cnt_o = cnt_m[rows, perm]  # (p, p-1), row = sender's injection order
-    pid_chunks = cnt_o.sum(axis=1)
-    total = int(pid_chunks.sum())
+    stack.expected = cnt_m.sum(axis=1)
+    rows = np.arange(k * p)[:, None]
+    cols = np.tile(perm, (k, 1))
+    # (phases * p, p-1), row = one (phase, sender)'s injection order.
+    cnt_o = cnt_m.reshape(k * p, p)[rows, cols]
+    per_sender = cnt_o.sum(axis=1).reshape(k, p)
+    offsets = np.zeros((k, p + 1), dtype=np.int64)
+    np.cumsum(per_sender, axis=1, out=offsets[:, 1:])
+    stack.offsets = offsets
+    stack.bounds = [0] + np.cumsum(offsets[:, -1]).tolist()
+    total = stack.bounds[-1]
     if total == 0:
-        return None, expected
+        return stack
     # Messages without a wire chunk get no entry (their marshal gap has
     # no chunk to ride on), so select on chunk count rather than word
     # count.  Boolean row-major selection keeps every sender's message
     # order.
     mask = cnt_o > 0
     msg_cnt = cnt_o[mask]
-    msg_dst = np.broadcast_to(perm, cnt_o.shape)[mask]
-    msg_rest = rest_m[rows, perm][mask]
-    msg_gap = gap_m[rows, perm][mask]
+    msg_dst = cols[mask]
+    msg_rest = rest_m.reshape(k * p, p)[rows, cols][mask]
+    msg_gap = gap_m.reshape(k * p, p)[rows, cols][mask]
     nbytes = np.full(total, hdr + maxb, dtype=np.int64)
     ends = np.cumsum(msg_cnt)
     tail = msg_rest > 0
@@ -515,60 +558,56 @@ def _stage_chunks(words, gap_m, wire_m, perm, sw, network, tier=None):
     gaps = np.zeros(total)
     gaps[ends - msg_cnt] = msg_gap
     dst_rep = np.repeat(msg_dst, msg_cnt)
+    stack.dsts = dst_rep
+    stack.gaps = gaps
     if tier is None:
         # message_send_cycles / message_recv_cycles, elementwise.
-        occ = o + nbytes * g
-        hold_list = occ_list = occ.tolist()
-        lat_list = queue_list = None
+        stack.occupancy = o + nbytes * g
+        stack.holds = stack.lats = stack.queues = None
     else:
-        src_rep = np.repeat(
-            np.broadcast_to(np.arange(p)[:, None], cnt_o.shape)[mask], msg_cnt
-        )
-        o_c = tier.o[src_rep, dst_rep]
-        g_c = tier.g[src_rep, dst_rep]
+        senders = np.broadcast_to(np.tile(np.arange(p), k)[:, None], cnt_o.shape)
+        src_rep = np.repeat(senders[mask], msg_cnt)
         # Same elementwise ``o + nbytes * g`` the DES computes per tier.
-        occ_list = (o_c + nbytes * g_c).tolist()
-        hold_list = (tier.ho[src_rep, dst_rep] + nbytes * tier.hg[src_rep, dst_rep]).tolist()
-        lat_list = tier.lat[src_rep, dst_rep].tolist()
-        queue_list = tier.queue[src_rep, dst_rep].tolist()
+        stack.occupancy = tier.o[src_rep, dst_rep] + nbytes * tier.g[src_rep, dst_rep]
+        stack.holds = tier.ho[src_rep, dst_rep] + nbytes * tier.hg[src_rep, dst_rep]
+        stack.lats = tier.lat[src_rep, dst_rep]
+        stack.queues = tier.queue[src_rep, dst_rep]
     # Per-sender totals: header bytes per chunk plus the row's wire
     # bytes (zero-chunk messages have zero wire bytes, so row sums over
     # the full matrix are exact).
-    sender_bytes = (wire_m.sum(axis=1) + hdr * pid_chunks).tolist()
-    offsets = [0] + np.cumsum(pid_chunks).tolist()
-    stage = StageChunks(
-        dsts=dst_rep.tolist(),
-        gaps=gaps.tolist(),
-        occupancy=occ_list,
-        holds=hold_list,
-        offsets=offsets,
-        sender_bytes=sender_bytes,
-        lats=lat_list,
-        queues=queue_list,
-    )
-    return stage, expected
+    stack.sender_bytes = wire_m.sum(axis=2) + hdr * per_sender
+    return stack
 
 
-def build_epoch_tables(
-    traffic, local_words, sw, network, cpu, topology=None
-) -> EpochTables:
-    """Price one phase's exchange for every node with array math.
+def build_epoch_tables(traffic, sw, network, cpu, topology=None) -> Iterator[EpochTables]:
+    """Price the exchanges of a run's phases for every node with array math.
 
-    *traffic* is the realized :class:`~repro.qsmlib.plan.PhaseTraffic`;
-    the result mirrors every charge of ``SyncEngine._node_proc``'s fast
-    path bit-for-bit (the golden equivalence tests pin this).  A cluster
-    *topology* swaps the flat scalar charges for per-pair tier lookups
-    (see :class:`_TierMatrices`); ``None``/flat keeps the pre-topology
-    tables byte for byte.
+    *traffic* is the run's realized
+    :class:`~repro.qsmlib.plan.PhaseTraffic` list, in phase order; yields
+    one :class:`EpochTables` per phase, in that order.  One stacked pass
+    serves them all: the traffic matrices become ``(phases, p, p)``
+    stacks and every stage is flattened for all phases at once (see
+    :func:`_stage_chunks`).  Each phase's lists are cut from the stacked
+    arrays when it is reached, so a run holds one phase's lists at a
+    time.  A lone phase is a stack of one.  Each phase's tables mirror
+    every charge of ``SyncEngine._node_proc``'s fast path bit-for-bit
+    (the golden equivalence tests pin this).  A cluster *topology* swaps
+    the flat scalar charges for per-pair tier lookups (see
+    :class:`_TierMatrices`); ``None``/flat keeps the pre-topology tables
+    byte for byte.
     """
-    p = traffic.p
+    if not traffic:
+        return
+    k = len(traffic)
+    p = traffic[0].p
     tier = (
         None
         if topology is None or topology.is_flat
         else _TierMatrices(topology, network, p)
     )
-    put_w = traffic.put_words
-    get_w = traffic.get_words
+    put_w = np.stack([t.put_words for t in traffic])
+    get_w = np.stack([t.get_words for t in traffic])
+    local_w = np.stack([t.local_words for t in traffic])
     wb = sw.word_bytes
     rh = sw.record_header_bytes
     marshal = sw.marshal_record_cycles
@@ -576,9 +615,7 @@ def build_epoch_tables(
     rate = cpu.cache.copy_cycles_per_byte()
     rate_res = cpu.cache.copy_cycles_per_byte(resident=True)
 
-    entry_overhead = sw.sync_fixed_cycles + local_words * (
-        marshal + wb * rate_res
-    )
+    entry_overhead = sw.sync_fixed_cycles + local_w * (marshal + wb * rate_res)
 
     perm, plan_dsts, plan_offsets = _peers(p, sw.exchange_schedule)
 
@@ -586,21 +623,17 @@ def build_epoch_tables(
     words_d = put_w + get_w
     gap_d = words_d * marshal + (put_w * wb) * rate
     wire_d = put_w * (rh + wb) + get_w * rh
-    data, expected_data = _stage_chunks(
-        words_d, gap_d, wire_d, perm, sw, network, tier=tier
-    )
+    data = _stage_chunks(gap_d, wire_d, perm, sw, network, tier=tier)
     unm_d = words_d * unmarshal + (put_w * wb) * rate + get_w * sw.get_service_cycles
-    unmarshal_data = np.cumsum(unm_d, axis=0)[-1].tolist()
+    unmarshal_data = np.cumsum(unm_d, axis=1)[:, -1]
 
     # -- reply stage: get replies flow owner -> requester --------------
-    words_r = get_w.T
+    words_r = get_w.transpose(0, 2, 1)
     gap_r = words_r * marshal + (words_r * wb) * rate
     wire_r = words_r * (rh + wb)
-    reply, expected_reply = _stage_chunks(
-        words_r, gap_r, wire_r, perm, sw, network, tier=tier
-    )
+    reply = _stage_chunks(gap_r, wire_r, perm, sw, network, tier=tier)
     unm_r = words_r * unmarshal + (words_r * wb) * rate
-    unmarshal_reply = np.cumsum(unm_r, axis=0)[-1].tolist()
+    unmarshal_reply = np.cumsum(unm_r, axis=1)[:, -1]
 
     plan_bytes = sw.message_header_bytes + sw.plan_entry_bytes
     plan_occupancy = network.message_send_cycles(plan_bytes)
@@ -647,21 +680,26 @@ def build_epoch_tables(
             network.overhead_cycles + CONTROL_BYTES * wire_gap,
             network.latency_cycles,
         )
+    control_occupancy = network.message_send_cycles(CONTROL_BYTES)
+    control_hold = network.message_recv_cycles(CONTROL_BYTES)
 
-    return EpochTables(
-        p=p,
-        entry_overhead=entry_overhead,
-        plan=plan,
-        plan_occupancy=plan_occupancy,
-        data=data,
-        reply=reply,
-        expected_data=expected_data,
-        expected_reply=expected_reply,
-        unmarshal_data=unmarshal_data,
-        unmarshal_reply=unmarshal_reply,
-        control_occupancy=network.message_send_cycles(CONTROL_BYTES),
-        control_hold=network.message_recv_cycles(CONTROL_BYTES),
-        node_of=node_of,
-        control_intra=control_intra,
-        control_inter=control_inter,
-    )
+    for i in range(k):
+        data_i, expected_data = data.phase(i)
+        reply_i, expected_reply = reply.phase(i)
+        yield EpochTables(
+            p=p,
+            entry_overhead=entry_overhead[i].tolist(),
+            plan=plan,
+            plan_occupancy=plan_occupancy,
+            data=data_i,
+            reply=reply_i,
+            expected_data=expected_data,
+            expected_reply=expected_reply,
+            unmarshal_data=unmarshal_data[i].tolist(),
+            unmarshal_reply=unmarshal_reply[i].tolist(),
+            control_occupancy=control_occupancy,
+            control_hold=control_hold,
+            node_of=node_of,
+            control_intra=control_intra,
+            control_inter=control_inter,
+        )

@@ -9,7 +9,10 @@ module prices the whole phase at once:
 * every per-message charge (marshal gaps, wire chunking, NIC send
   occupancy, receive holds, unmarshal/service totals) is computed
   vectorized over the traffic matrices by
-  :func:`repro.qsmlib.costmodel.build_epoch_tables`;
+  :func:`repro.qsmlib.costmodel.build_epoch_tables`, for all of a run's
+  phases in one stacked pass before the first is priced
+  (:meth:`~repro.qsmlib.runtime.SyncEngine.epoch_tables`); a phase
+  receives its tables;
 * injection timelines are sequential float folds of the precomputed gap
   and occupancy arrays (``t = t + step`` per chunk, so the results match
   the oracle's chained timeouts bit-for-bit);
@@ -89,9 +92,7 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import List, Tuple
 
-
 from repro.msg.collectives import CONTROL_BYTES, _children, _parent
-from repro.qsmlib.costmodel import build_epoch_tables
 
 # Heap-entry kinds, ordered by pop frequency.  Entries are plain tuples:
 #   (time, seq, _DELIVER, queue, dst, stream)
@@ -159,16 +160,13 @@ def _serve(arrivals, last, done) -> tuple:
 class EpochPhase:
     """One phase's flat replay: precomputed tables, then a fold or a heap."""
 
-    def __init__(self, machine, sw, traffic, compute_cycles, local_words) -> None:
+    def __init__(self, machine, sw, tables, compute_cycles) -> None:
         p = machine.p
         self.p = p
         self.sw = sw
         self.start = machine.sim.now
         self.latency = machine.config.network.latency_cycles
-        self.tables = build_epoch_tables(
-            traffic, local_words, sw, machine.config.network, machine.cpus[0],
-            topology=machine.config.topology,
-        )
+        self.tables = tables
         # Straggler penalties accumulate in ascending pid order, exactly
         # as the DES charges them during its pid-ordered bootstraps.  A
         # re-priced phase reuses them rather than charging them again.
@@ -335,7 +333,7 @@ class EpochPhase:
         """
         start = self.start
         stamps = self.stamps
-        overheads = self.tables.entry_overhead.tolist()
+        overheads = self.tables.entry_overhead
         now = []
         keys = []
         pre = 0
@@ -553,7 +551,7 @@ class EpochPhase:
             heappush(heap, (t, next(seq), _NODE, pid))
             t = yield
         stamps.append(t)
-        overhead = float(tb.entry_overhead[pid])
+        overhead = tb.entry_overhead[pid]
         if overhead > 0:
             t = t + overhead
             heappush(heap, (t, next(seq), _NODE, pid))
@@ -728,9 +726,10 @@ def _emit_spans(obs, phase: EpochPhase, seq: int, traffic, local_words) -> None:
 
 
 def execute_epoch_phase(
-    machine, sw, traffic, compute_cycles, local_words, seq: int
+    machine, sw, traffic, tables, compute_cycles, local_words, seq: int
 ) -> Tuple[float, float, float]:
-    """Run phase number *seq* on the epoch path; returns (start, ready, end).
+    """Run phase number *seq*, whose epoch *tables* are built, on the
+    epoch path; returns (start, ready, end).
 
     Folds the kernel's work back into the simulator: the entry count
     joins ``sim.event_count``, the clock advances to *end*, and the
@@ -738,7 +737,7 @@ def execute_epoch_phase(
     injections.  With observability on, the phase's ``qsm.*`` spans are
     recorded too.
     """
-    phase = EpochPhase(machine, sw, traffic, compute_cycles, local_words)
+    phase = EpochPhase(machine, sw, tables, compute_cycles)
     start, ready, end = phase.run()
     sim = machine.sim
     sim._event_count += phase.pops

@@ -7,21 +7,35 @@ its own :class:`~repro.qsmlib.context.QSMContext`.
 
 The driver advances all ``p`` program generators to their next
 ``yield ctx.sync()``, aggregates the phase's queued requests into a
-communication plan, executes the exchange in the discrete-event
-simulator (where ``g``, ``o``, ``l`` and the software layer act), then
-applies the bulk-synchronous memory semantics and resumes the programs.
-The result is a :class:`~repro.qsmlib.stats.RunResult` with per-phase
-measurements — the raw material of every figure in §3.
+communication plan, applies the bulk-synchronous memory semantics and
+resumes the programs.  Once every program has returned, it prices each
+phase's exchange in the discrete-event simulator (where ``g``, ``o``,
+``l`` and the software layer act).  The result is a
+:class:`~repro.qsmlib.stats.RunResult` with per-phase measurements —
+the raw material of every figure in §3.
 
-A run has two halves.  The *recorded* half — the program generators,
-compute charges, observations, :func:`~repro.qsmlib.plan.build_traffic`
-and :func:`~repro.qsmlib.plan.apply_phase_semantics` — reads only the
-inputs, the seed, ``p`` and the node and software configs.  The
-*priced* half, :meth:`SyncEngine.execute_phase
-<repro.qsmlib.runtime.SyncEngine.execute_phase>`, is the only place the
-network, the topology and the fault plan act.  :meth:`QSMMachine.run`
-keeps each phase's traffic, so :func:`price_run` can price a recorded
-run on another machine without running its program again.
+A run has two halves, run in sequence.  The *recorded* half — the
+program generators, compute charges, observations,
+:func:`~repro.qsmlib.plan.build_traffic` and
+:func:`~repro.qsmlib.plan.apply_phase_semantics` — reads only the
+inputs, the seed, ``p`` and the node and software configs; as in the
+paper's library (§3.1.2), a phase's communication plan is fixed before
+any of its messages move.  The *priced* half then runs the sync
+protocol for every phase in order (:meth:`SyncEngine.execute_phase
+<repro.qsmlib.runtime.SyncEngine.execute_phase>`), the only place the
+network, the topology and the fault plan act; on the epoch path the
+tables of all phases are built first, in one stacked pass.
+:meth:`QSMMachine.run` keeps each phase's traffic, so :func:`price_run`
+can price a recorded run on another machine without running its
+program again; both price through one method.
+
+Errors follow from that order.  A run that raises in its recorded half
+— a program exception, an SPMD or semantics violation, a sanitizer
+error — prices no phase: the simulator processes no event
+(``sim.event_count`` stays 0) and no ``qsm.*`` span is emitted.  An
+error of the priced half, such as a message that exhausts its
+retransmit budget (:class:`~repro.faults.FaultError`), is raised while
+pricing, after the program has run to its end.
 """
 
 from __future__ import annotations
@@ -98,8 +112,9 @@ class QSMMachine:
         # alongside either sync path.
         self._sanitizer = check.active()
         self._ran = False
-        #: Each executed phase's traffic, in phase order: with the
-        #: :class:`RunResult`, what :func:`price_run` needs.
+        #: Each recorded phase's traffic, in phase order: what the priced
+        #: half reads and, with the :class:`RunResult`, what
+        #: :func:`price_run` needs.
         self.traffic: List[PhaseTraffic] = []
 
     # ------------------------------------------------------------------
@@ -192,29 +207,32 @@ class QSMMachine:
             if self._sanitizer is not None:
                 self._sanitizer.check_collectives(ctxs, phase_idx)
             self._resolve_allocs(ctxs)
-            record = self._execute_phase(ctxs, phase_idx, result)
-            result.phases.append(record)
+            result.phases.append(self._record_phase(ctxs, phase_idx, result))
             self._resolve_frees(ctxs)
             phase_idx += 1
 
         result.trailing_compute_cycles = float(trailing.max()) if p else 0.0
-        return self._finish(result)
+        return self._price(result)
 
-    def _price_phase(self, record: PhaseRecord, traffic: PhaseTraffic) -> None:
-        """Run the sync protocol for one phase on this machine and stamp
-        its timings on *record* (the one pricing step shared by
-        :meth:`run` and :func:`price_run`)."""
-        timing = self._engine.execute_phase(traffic, record.compute_cycles, traffic.local_words)
-        record.start, record.ready, record.end = timing.start, timing.ready, timing.end
-        self.traffic.append(traffic)
-
-    def _finish(self, result: RunResult) -> RunResult:
-        """Close a run: event count, observer label and fault tally."""
+    def _price(self, result: RunResult) -> RunResult:
+        """The priced half, shared by :meth:`run` and :func:`price_run`:
+        run the sync protocol for every phase of *result*, whose traffic
+        is :attr:`traffic`, on this machine, stamp each phase's timings
+        on its record, and close the run (event count, observer label
+        and fault tally)."""
+        engine = self._engine
+        for record, traffic, tables in zip(
+            result.phases, self.traffic, engine.epoch_tables(self.traffic)
+        ):
+            timing = engine.execute_phase(
+                traffic, record.compute_cycles, traffic.local_words, tables
+            )
+            record.start, record.ready, record.end = timing.start, timing.ready, timing.end
         result.sim_events = self.machine.sim.event_count
         obs = self.machine.sim.obs
         if obs is not None:
             # Name the sync path(s) the phases actually ran on.
-            ran = "+".join(path for path, n in self._engine.path_counts.items() if n)
+            ran = "+".join(path for path, n in engine.path_counts.items() if n)
             obs.set_label(f"qsm p={self.p} seed={self.config.seed} sync={ran or 'none'}")
             obs.finalize()
         if self.machine.faults is not None:
@@ -222,9 +240,13 @@ class QSMMachine:
         return result
 
     # ------------------------------------------------------------------
-    def _execute_phase(
+    def _record_phase(
         self, ctxs: List[QSMContext], phase_idx: int, result: RunResult
     ) -> PhaseRecord:
+        """The recorded half of one phase: checks, compute and
+        observations drained, traffic kept in :attr:`traffic` and the
+        memory semantics applied.  The record's timings are stamped when
+        the run is priced."""
         p = self.p
         queues = [ctx.queue for ctx in ctxs]
 
@@ -256,7 +278,7 @@ class QSMMachine:
             put_in_words=traffic.put_words.sum(axis=0),
             get_served_words=traffic.get_words.sum(axis=0),
         )
-        self._price_phase(record, traffic)
+        self.traffic.append(traffic)
         apply_phase_semantics(queues)
         for q in queues:
             q.clear()
@@ -304,28 +326,6 @@ class QSMMachine:
             self.space.unregister(self.space.get(aid))
 
 
-def run_program(
-    program: Callable,
-    config: Optional[RunConfig] = None,
-    setup: Optional[Callable[[QSMMachine], Dict[str, Any]]] = None,
-    **program_kwargs: Any,
-) -> RunResult:
-    """One-shot convenience: build a machine, optionally set up arrays, run.
-
-    *setup* receives the fresh :class:`QSMMachine` and may return a dict
-    of extra keyword arguments (typically the arrays it allocated) that
-    is merged into the program's kwargs.
-    """
-    qm = QSMMachine(config)
-    if setup is not None:
-        extra = setup(qm) or {}
-        overlap = set(extra) & set(program_kwargs)
-        if overlap:
-            raise ValueError(f"setup() and caller both supplied kwargs: {sorted(overlap)}")
-        program_kwargs = {**program_kwargs, **extra}
-    return qm.run(program, **program_kwargs)
-
-
 def price_run(
     recorded: RunResult, traffic: Sequence[PhaseTraffic], config: RunConfig
 ) -> RunResult:
@@ -350,15 +350,13 @@ def price_run(
         )
     qm = QSMMachine(config)
     qm._ran = True
+    qm.traffic = list(traffic)
     result = RunResult(
         p=recorded.p,
         seed=recorded.seed,
+        phases=[replace(phase) for phase in recorded.phases],
         returns=list(recorded.returns),
         observations={key: list(values) for key, values in recorded.observations.items()},
         trailing_compute_cycles=recorded.trailing_compute_cycles,
     )
-    for phase, phase_traffic in zip(recorded.phases, traffic):
-        record = replace(phase)
-        qm._price_phase(record, phase_traffic)
-        result.phases.append(record)
-    return qm._finish(result)
+    return qm._price(result)

@@ -26,7 +26,7 @@ the measured ~35 (put) and ~287 (get) cycles/byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.machine.cluster import Machine
 from repro.msg.collectives import CONTROL_BYTES, _children, _parent
 from repro.msg.mp import Endpoint
 from repro.qsmlib.config import SoftwareConfig, SyncPath
+from repro.qsmlib.costmodel import EpochTables, build_epoch_tables
 from repro.qsmlib.epoch import execute_epoch_phase
 from repro.qsmlib.plan import PhaseTraffic
 
@@ -70,17 +71,32 @@ class SyncEngine:
         self.path_counts = {path.value: 0 for path in SyncPath}
 
     # ------------------------------------------------------------------
+    def epoch_tables(self, traffic: Sequence[PhaseTraffic]) -> Iterable[Optional[EpochTables]]:
+        """The epoch tables of a run's phases, *traffic* in phase order,
+        built in one stacked pass and cut out phase by phase as they are
+        iterated; all ``None`` when the phases run on the per-message
+        oracle, which needs none."""
+        if not traffic or not self._epoch_eligible():
+            return [None] * len(traffic)
+        config = self.machine.config
+        return build_epoch_tables(
+            traffic, self.sw, config.network, self.machine.cpus[0], topology=config.topology
+        )
+
     def execute_phase(
         self,
         traffic: PhaseTraffic,
         compute_cycles: np.ndarray,
         local_words: np.ndarray,
+        tables: Optional[EpochTables] = None,
     ) -> PhaseTiming:
         """Run one phase: local compute, then the full sync protocol.
 
         ``compute_cycles[pid]`` is the local work charged before this
         sync; ``local_words[pid]`` are requests served without the
-        network (they still cost library handling time).
+        network (they still cost library handling time).  *tables* are
+        the phase's entry of :meth:`epoch_tables`; without them an epoch
+        phase builds its own, as a run of one phase.
         """
         sim = self.machine.sim
         seq = self._seq
@@ -88,9 +104,11 @@ class SyncEngine:
 
         if self._epoch_eligible():
             self.path_counts["epoch"] += 1
+            if tables is None:
+                (tables,) = self.epoch_tables([traffic])
             timing = PhaseTiming(
                 *execute_epoch_phase(
-                    self.machine, self.sw, traffic, compute_cycles, local_words, seq
+                    self.machine, self.sw, traffic, tables, compute_cycles, local_words, seq
                 )
             )
         else:

@@ -26,6 +26,7 @@ routes.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 from typing import NamedTuple
 from unittest import mock
 
@@ -38,6 +39,7 @@ from repro.algorithms.listrank import make_random_list, run_list_ranking
 from repro.algorithms.samplesort import run_sample_sort
 from repro.faults.plan import FaultPlan
 from repro.machine.config import ClusterTopology, MachineConfig, NetworkConfig
+from repro.msg.collectives import _parent
 from repro.qsmlib import QSMMachine, RunConfig
 from repro.qsmlib import epoch
 from repro.qsmlib.config import SoftwareConfig
@@ -309,23 +311,58 @@ UP_BEFORE_DATA = Case(4, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
                       (("one-sided", "equal", 3),), 0, False)
 
 
+# Tie rules whose flips move no timing, only the order of same-instant
+# entries or the entry count, which test_fold_keys_sort_into_heap_pop_order
+# reads.  Each of these folds its phase.
+#: Node 1's up message reaches node 0 at the instant node 0's engine
+#: delivers node 2's.  It pops after that delivery, so it starts its own
+#: service: its delivery is keyed by its arrival, not by the delivery
+#: ahead.
+UP_STARTS_SERVICE = Case(6, 0, 0.0, 0.0, 3.0, "staggered", 0.0, 0.0,
+                         (("empty", "equal", 1),), 0, False)
+#: Node 3 starts its plan one message before node 1 (stepped compute),
+#: and their plan messages reach node 2 at one instant.  Node 2 serves
+#: node 3's first: key order, not pid order.
+PLAN_TIE = Case(4, 0, 0.0, 0.0, 3.0, "fixed", 0.0, 0.0,
+                (("one-sided", "stepped", 4),), 0, False)
+#: Node 0's plan message is delivered to node 1 at the instant node 1's
+#: own plan injection ends.  Node 0 started its plan first, so the
+#: delivery pops first and node 1 continues at once: no wake entry.
+DELIVERY_BEFORE_DRAIN = Case(2, 0, 0.0, 400.0, 3.0, "staggered", 0.0, 0.0,
+                             (("uniform", "stepped", 3),), 38766, False)
+#: Node 1's up message is delivered at the instant node 0 finishes its
+#: last stage.  Node 0's pop comes first, so it waits and resumes in the
+#: wake that delivery pushes: one more entry.
+UP_AFTER_NODE = Case(3, 0, 0.0, 0.0, 3.0, "fixed", 0.0, 0.0,
+                     (("uniform", "zero", 4),), 16757, False, max_message_bytes=40)
+#: Node 0 wakes at its child 1's up delivery and hops while child 2's up
+#: message, queued behind it, is served; the hop lasts one control
+#: message's hold (8 bytes at 3 cycles each), so that delivery ends with
+#: the hop.  It was pushed by the delivery that woke node 0, so it pops
+#: first and node 0 continues at once: no wake entry.
+UP_DURING_HOP = Case(3, 0, 0.0, 0.0, 3.0, "staggered", 24.0, 0.0,
+                     (("empty", "equal", 1),), 0, False)
+
+#: Every pinned case above.
+PINNED = (
+    FOLDS, FALLS_BACK, DRAIN_TIES_DELIVERY, DRAIN_BEFORE_WAKE, WAITS_AT_DELIVERY,
+    SENDER_RESUMES, UPS_TIE, CHUNKS_TIE, SERVICE_TIE, DRAIN_TIES_DATA,
+    UP_AMONG_DATA, UP_AMONG_REPLIES, REPLY_BEFORE_DATA, UP_BEFORE_DATA,
+    UP_STARTS_SERVICE, PLAN_TIE, DELIVERY_BEFORE_DRAIN, UP_AFTER_NODE, UP_DURING_HOP,
+)
+
+
+def _pinned(test):
+    """*test* with every pinned case as a hypothesis example."""
+    for case in reversed(PINNED):
+        test = example(case=case)(test)
+    return test
+
+
 def test_epoch_matches_oracle_on_generated_programs():
     routes: Counter = Counter()
 
-    @example(case=FOLDS)
-    @example(case=FALLS_BACK)
-    @example(case=DRAIN_TIES_DELIVERY)
-    @example(case=DRAIN_BEFORE_WAKE)
-    @example(case=WAITS_AT_DELIVERY)
-    @example(case=SENDER_RESUMES)
-    @example(case=UPS_TIE)
-    @example(case=CHUNKS_TIE)
-    @example(case=SERVICE_TIE)
-    @example(case=DRAIN_TIES_DATA)
-    @example(case=UP_AMONG_DATA)
-    @example(case=UP_AMONG_REPLIES)
-    @example(case=REPLY_BEFORE_DATA)
-    @example(case=UP_BEFORE_DATA)
+    @_pinned
     @given(case=cases())
     @SLOWISH
     def check(case):
@@ -342,6 +379,158 @@ def test_epoch_matches_oracle_on_generated_programs():
 
     check()
     assert routes["folded"] and routes["fallback"], routes
+
+
+# ----------------------------------------------------------------------
+# The fold's keys against the heap's pop order
+# ----------------------------------------------------------------------
+class _Writes:
+    """Stands in for the fold's ``done`` list in one ``_serve`` call:
+    forwards every write and keeps the delivery keys in order."""
+
+    def __init__(self, done) -> None:
+        self.done = done
+        self.keys = []
+
+    def __setitem__(self, tag, key) -> None:
+        self.done[tag] = key
+        self.keys.append(key)
+
+
+@contextmanager
+def _key_orders(orders: list):
+    """Patch the kernel so that every phase the fold prices is also
+    priced on the full heap, and append to *orders* one triple per folded
+    phase: the fold's deliveries sorted by their keys, the heap's
+    delivery pops in pop order, and both pop counts.  A delivery reads
+    (time, queue, stream, starter): the sender of the arrival that
+    started its service, or ``None`` when the delivery ahead of it did.
+    The down sweep, which the fold prices without keys, is left out."""
+    inject = epoch.EpochPhase._inject
+    serve = epoch._serve
+    pop, push = epoch.heappop, epoch.heappush
+    folding = []
+
+    def spy_inject(self, stage, now, keys):
+        owner = {id(key): s for s, key in enumerate(keys)}
+        queues = inject(self, stage, now, keys)
+        tb = self.tables
+        stream = next(i for i, st_ in enumerate((tb.plan, tb.data, tb.reply)) if st_ is stage)
+        for q, arrivals in enumerate(queues):
+            for arr in arrivals:
+                self.where[id(arr)] = (q, stream, owner[id(arr[1])], arr)
+        return queues
+
+    def spy_serve(arrivals, last, done):
+        writes = _Writes(done)
+        out = serve(arrivals, last, writes)
+        phase = folding[-1]
+        for arr, key in zip(arrivals, writes.keys):
+            tag = arr[4]
+            if tag >= 0:
+                # An up message: its tag is its sender, a child of the
+                # queue's node.
+                phase.where[id(arr)] = (_parent(tag), epoch._BARRIER + tag, tag, arr)
+            q, stream = phase.where[id(arr)][:2]
+            phase.delivered.append((key, q, stream))
+        return out
+
+    def label(phase, key, q, stream):
+        pusher = key[1]
+        starter = phase.where[id(pusher)][2] if len(pusher) == 5 else None
+        return (key[0], q, stream, starter)
+
+    def heap_order(phase):
+        """Price a copy of *phase* on the full heap; its delivery pops
+        and pop count."""
+        twin = object.__new__(epoch.EpochPhase)
+        twin.__dict__.update(phase.__dict__)
+        popped = []
+        sender = {}
+        starter = {}
+        state = {"entry": None, "sending": None}
+
+        def send_burst(pid, t0, stage, stream):
+            state["sending"] = pid
+            return epoch.EpochPhase._send_burst(twin, pid, t0, stage, stream)
+
+        def send_control(pid, t0, dst, stream):
+            state["sending"] = pid
+            return epoch.EpochPhase._send_control(twin, pid, t0, dst, stream)
+
+        def spy_pop(heap):
+            entry = pop(heap)
+            popped.append(entry)
+            state["entry"] = entry
+            return entry
+
+        def spy_push(heap, entry):
+            if entry[2] == epoch._ARRIVE:
+                sender[id(entry)] = state["sending"]
+            elif entry[2] == epoch._DELIVER:
+                by = state["entry"]
+                starter[id(entry)] = sender[id(by)] if by[2] == epoch._ARRIVE else None
+            push(heap, entry)
+
+        twin._send_burst = send_burst
+        twin._send_control = send_control
+        with mock.patch.multiple(epoch, heappop=spy_pop, heappush=spy_push):
+            twin._replay()
+        order = [
+            (entry[0], entry[3], entry[5], starter[id(entry)])
+            for entry in popped
+            if entry[2] == epoch._DELIVER and entry[5] < epoch._BARRIER + phase.p
+        ]
+        return order, twin.pops
+
+    def spy_run(self):
+        if not (self._node_of is None and self.p > 1 and self.tables.plan_occupancy > 0):
+            return self._replay()
+        heap, heap_pops = heap_order(self)
+        self.where = {}
+        self.delivered = []
+        folding.append(self)
+        try:
+            timing = self._fold()
+        except epoch._Inseparable:
+            return self._replay()
+        finally:
+            folding.pop()
+        fold = [label(self, *d) for d in sorted(self.delivered, key=lambda d: d[0])]
+        orders.append((fold, heap, (self.pops, heap_pops)))
+        return timing
+
+    with mock.patch.multiple(
+        epoch.EpochPhase, run=spy_run, _inject=spy_inject
+    ), mock.patch.object(epoch, "_serve", spy_serve):
+        yield
+
+
+def test_fold_keys_sort_into_heap_pop_order():
+    """Where the heap would compare two same-instant entries the fold
+    compares their keys, so every tie rule the fold spells — a tied
+    arrival starting its own service, a node's pop against its last
+    delivery or a child's up delivery, same-instant plan arrivals —
+    shows in its delivery keys (which arrival starts each service, and
+    the order deliveries pop in) or in its entry count, even when no
+    timing moves.  On every phase the fold prices, both must be the
+    heap's."""
+    compared: Counter = Counter()
+
+    @_pinned
+    @given(case=cases())
+    @SLOWISH
+    def check(case):
+        orders: list = []
+        with _key_orders(orders):
+            _observe(case, "epoch")
+        for fold, heap, (fold_pops, heap_pops) in orders:
+            assert fold == heap
+            assert fold_pops == heap_pops
+        compared["phases"] += len(orders)
+
+    check()
+    assert compared["phases"], compared
 
 
 # ----------------------------------------------------------------------

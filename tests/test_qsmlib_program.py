@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.faults import FaultError
+from repro.faults.plan import FaultPlan
 from repro.machine.config import MachineConfig
 from repro.qsmlib import (
     Layout,
@@ -10,7 +13,6 @@ from repro.qsmlib import (
     QSMSemanticsError,
     RunConfig,
     SPMDError,
-    run_program,
 )
 
 
@@ -292,38 +294,13 @@ def test_observations_recorded():
     assert res.observe_max_by_phase("skew") == {0: 4.5}
 
 
-def test_run_program_with_setup_helper():
-    def setup(qm):
-        A = qm.allocate("a", 16)
-        A.data[:] = 3
-        return {"A": A}
-
-    def program(ctx, A):
-        yield ctx.sync()
-        return int(ctx.local(A).sum())
-
-    res = run_program(program, cfg(), setup=setup)
-    assert sum(res.returns) == 48
-
-
-def test_run_program_kwarg_collision_rejected():
-    def setup(qm):
-        return {"x": 1}
-
-    def program(ctx, x):
-        yield ctx.sync()
-
-    with pytest.raises(ValueError, match="both supplied"):
-        run_program(program, cfg(), setup=setup, x=2)
-
-
 def test_determinism_same_seed():
     def program(ctx):
         ctx.charge_cycles(float(ctx.rng.integers(100, 200)))
         yield ctx.sync()
 
-    r1 = run_program(program, cfg())
-    r2 = run_program(program, cfg())
+    r1 = QSMMachine(cfg()).run(program)
+    r2 = QSMMachine(cfg()).run(program)
     assert r1.total_cycles == r2.total_cycles
     assert r1.comm_cycles == r2.comm_cycles
 
@@ -333,8 +310,8 @@ def test_different_seeds_differ():
         ctx.charge_cycles(float(ctx.rng.integers(100, 20000)))
         yield ctx.sync()
 
-    r1 = run_program(program, RunConfig(machine=MachineConfig(p=4), seed=1))
-    r2 = run_program(program, RunConfig(machine=MachineConfig(p=4), seed=2))
+    r1 = QSMMachine(RunConfig(machine=MachineConfig(p=4), seed=1)).run(program)
+    r2 = QSMMachine(RunConfig(machine=MachineConfig(p=4), seed=2)).run(program)
     assert r1.total_cycles != r2.total_cycles
 
 
@@ -360,3 +337,52 @@ def test_negative_charge_rejected():
 
     with pytest.raises(ValueError):
         qm.run(program)
+
+
+# ----------------------------------------------------------------------
+# Errors: the recorded half runs to its end before any phase is priced
+# ----------------------------------------------------------------------
+def test_program_error_prices_no_phase():
+    """A program that raises at phase k leaves the simulator untouched:
+    no event processed, no ``qsm.*`` span emitted."""
+    obs.enable()
+    try:
+        qm = QSMMachine(cfg())
+        A = qm.allocate("a", 40)
+
+        def program(ctx, A):
+            for k in range(3):
+                ctx.charge_cycles(100.0)
+                ctx.put(A, [(ctx.pid * 10 + 11 + k) % 40], [k])
+                yield ctx.sync()
+            raise RuntimeError("the program failed at phase 3")
+
+        with pytest.raises(RuntimeError, match="phase 3"):
+            qm.run(program, A=A)
+        assert len(qm.traffic) == 3
+        assert qm.machine.sim.event_count == 0
+        assert [s for run in obs.runs() for s in run.spans if s.name.startswith("qsm.")] == []
+    finally:
+        obs.disable()
+
+
+def test_retransmit_exhaustion_raises_after_the_program_ran():
+    """An error of the priced half still raises: the program has run to
+    its end by then, so its last phase's puts are in place."""
+    config = RunConfig(
+        machine=MachineConfig(p=2).with_faults(
+            FaultPlan(seed=1, drop_prob=0.999, max_retransmits=2)
+        ),
+        seed=1,
+    )
+    qm = QSMMachine(config)
+    out = qm.allocate("out", 2)
+
+    def program(ctx, out):
+        for k in range(1, 3):
+            ctx.put(out, [(ctx.pid + 1) % ctx.p], [10 * k + ctx.pid])
+            yield ctx.sync()
+
+    with pytest.raises(FaultError, match="retransmit"):
+        qm.run(program, out=out)
+    assert out.data.tolist() == [21, 20]
