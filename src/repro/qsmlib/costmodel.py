@@ -393,7 +393,8 @@ class EpochTables:
     #: Plan stage: every node sends one equal-size message to each of
     #: the other p-1, in its peer order (priced per tier on a cluster).
     plan: StageChunks
-    #: The flat network's send occupancy of one plan message.
+    #: The send occupancy of one plan message, the cheaper tier's on a
+    #: cluster: zero means a plan step takes no time.
     plan_occupancy: float
     #: Data stage (puts + get requests), then reply stage (get replies).
     data: Optional[StageChunks]
@@ -405,17 +406,17 @@ class EpochTables:
     #: accumulation over ascending source, exactly as the DES adds them).
     unmarshal_data: list
     unmarshal_reply: list
-    #: Barrier control messages.
-    control_occupancy: float
-    control_hold: float
-    #: Cluster topology extras (all ``None``/unused on the flat path,
-    #: which stays bit-pinned to the pre-topology tables).
-    #: ``node_of[pid]`` maps a core to its node; receive queues are
-    #: ``p`` core engines followed by ``n_nodes`` shared node wires.
+    #: Barrier control messages: entry *pid* (the root's is ``None``)
+    #: is the (occupancy, hold, latency, up queue, down queue) of the
+    #: messages between *pid* and its parent, priced at their tier on a
+    #: cluster, where a message between nodes drains through the
+    #: receiving node's wire.
+    control: list
+    #: Cluster topology only (``None`` on the flat path, which stays
+    #: bit-pinned to the pre-topology tables): ``node_of[pid]`` maps a
+    #: core to its node; receive queues are ``p`` core engines followed
+    #: by ``n_nodes`` shared node wires.
     node_of: Optional[list] = None
-    #: Barrier control (occupancy, hold, latency) per tier.
-    control_intra: Optional[tuple] = None
-    control_inter: Optional[tuple] = None
 
 
 def _peer_matrix(p: int, schedule: str) -> np.ndarray:
@@ -637,12 +638,11 @@ def build_epoch_tables(traffic, sw, network, cpu, topology=None) -> Iterator[Epo
 
     plan_bytes = sw.message_header_bytes + sw.plan_entry_bytes
     plan_occupancy = network.message_send_cycles(plan_bytes)
-    from repro.msg.collectives import CONTROL_BYTES
+    from repro.msg.collectives import CONTROL_BYTES, _parent
 
     sent = p * (p - 1)
     node_of = None
-    control_intra = None
-    control_inter = None
+    parents = [_parent(pid) for pid in range(1, p)]
     if tier is None:
         plan = StageChunks(
             dsts=plan_dsts,
@@ -652,6 +652,12 @@ def build_epoch_tables(traffic, sw, network, cpu, topology=None) -> Iterator[Epo
             offsets=plan_offsets,
             sender_bytes=[(p - 1) * plan_bytes] * p,
         )
+        link = (
+            network.message_send_cycles(CONTROL_BYTES),
+            network.message_recv_cycles(CONTROL_BYTES),
+            network.latency_cycles,
+        )
+        control = [None] + [link + (parent, pid) for pid, parent in enumerate(parents, 1)]
     else:
         node_of = tier.node_of.tolist()
         # Each plan message priced at its pair's tier (the DES's
@@ -668,20 +674,28 @@ def build_epoch_tables(traffic, sw, network, cpu, topology=None) -> Iterator[Epo
             queues=tier.queue[rows, perm].ravel().tolist(),
         )
         topo = topology
+        plan_occupancy = min(
+            plan_occupancy,
+            topo.intra_overhead_cycles + plan_bytes * topo.intra_gap_cycles_per_byte,
+        )
         wire = topo.node_wire_gap_cycles_per_byte
         wire_gap = network.gap_cycles_per_byte if wire is None else wire
-        control_intra = (
+        intra = (
             topo.intra_overhead_cycles + CONTROL_BYTES * topo.intra_gap_cycles_per_byte,
             topo.intra_overhead_cycles + CONTROL_BYTES * topo.intra_gap_cycles_per_byte,
             topo.intra_latency_cycles,
         )
-        control_inter = (
+        inter = (
             network.overhead_cycles + CONTROL_BYTES * network.gap_cycles_per_byte,
             network.overhead_cycles + CONTROL_BYTES * wire_gap,
             network.latency_cycles,
         )
-    control_occupancy = network.message_send_cycles(CONTROL_BYTES)
-    control_hold = network.message_recv_cycles(CONTROL_BYTES)
+        control = [None] + [
+            intra + (parent, pid)
+            if node_of[pid] == node_of[parent]
+            else inter + (p + node_of[parent], p + node_of[pid])
+            for pid, parent in enumerate(parents, 1)
+        ]
 
     for i in range(k):
         data_i, expected_data = data.phase(i)
@@ -697,9 +711,6 @@ def build_epoch_tables(traffic, sw, network, cpu, topology=None) -> Iterator[Epo
             expected_reply=expected_reply,
             unmarshal_data=unmarshal_data[i].tolist(),
             unmarshal_reply=unmarshal_reply[i].tolist(),
-            control_occupancy=control_occupancy,
-            control_hold=control_hold,
+            control=control,
             node_of=node_of,
-            control_intra=control_intra,
-            control_inter=control_inter,
         )
