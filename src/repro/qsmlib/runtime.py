@@ -67,7 +67,7 @@ class SyncEngine:
         #: tests (and curious users) observe fallback decisions.  An
         #: epoch phase counts as epoch whether the kernel folded the whole
         #: phase or priced it on the full heap (a choice made inside the
-        #: kernel from the topology and the phase's own timings).
+        #: kernel from p, the plan's cost and the phase's own timings).
         self.path_counts = {path.value: 0 for path in SyncPath}
 
     # ------------------------------------------------------------------
