@@ -5,11 +5,21 @@ kernel so the :class:`~repro.machine.cpu.CPUModel` can charge cycles.
 The predictors reuse the same helpers for their compute-time terms, so
 prediction-vs-measurement differences isolate the *communication*
 model, which is what the paper studies.
+
+The builders return shared, interned profiles: equal arguments of equal
+types (``3``, ``3.0`` and ``np.int64(3)`` are three keys) return the
+same frozen :class:`~repro.machine.cpu.OpProfile` object for the life
+of the process.  An SPMD program charges the same few profiles on every
+processor every phase, so a repeated charge is one lookup here and one
+dictionary hit on the same object in :meth:`CPUModel.cost
+<repro.machine.cpu.CPUModel.cost>`, which validates each profile it has
+not priced yet (a non-finite one raises on every charge).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from repro.machine.cache import RandomAccess, SequentialAccess
 from repro.machine.cpu import OpProfile
@@ -22,6 +32,11 @@ def log2ceil(x: float) -> int:
     return max(0, math.ceil(math.log2(x)))
 
 
+#: Interns a builder's results by its typed argument values.
+_interned = lru_cache(maxsize=None, typed=True)
+
+
+@_interned
 def profile_scan_add(m: int, word_bytes: int = 8) -> OpProfile:
     """Streaming add/accumulate over *m* elements (prefix sums, offsets)."""
     if m <= 0:
@@ -35,6 +50,7 @@ def profile_scan_add(m: int, word_bytes: int = 8) -> OpProfile:
     )
 
 
+@_interned
 def profile_copy(m: int, word_bytes: int = 8) -> OpProfile:
     """Bulk copy of *m* elements."""
     if m <= 0:
@@ -47,6 +63,7 @@ def profile_copy(m: int, word_bytes: int = 8) -> OpProfile:
     )
 
 
+@_interned
 def profile_sort(m: int, word_bytes: int = 8) -> OpProfile:
     """Comparison sort of *m* elements: ~m·log2(m) compare/exchange steps.
 
@@ -65,6 +82,7 @@ def profile_sort(m: int, word_bytes: int = 8) -> OpProfile:
     )
 
 
+@_interned
 def profile_partition(m: int, buckets: int, word_bytes: int = 8) -> OpProfile:
     """Binary-search partition of *m* elements into *buckets* ranges."""
     if m <= 0 or buckets <= 1:
@@ -82,6 +100,7 @@ def profile_partition(m: int, buckets: int, word_bytes: int = 8) -> OpProfile:
     )
 
 
+@_interned
 def profile_gather_scatter(m: int, region: int, word_bytes: int = 8) -> OpProfile:
     """Indexed gather or scatter of *m* elements within a *region*-word window."""
     if m <= 0:
@@ -95,6 +114,7 @@ def profile_gather_scatter(m: int, region: int, word_bytes: int = 8) -> OpProfil
     )
 
 
+@_interned
 def profile_random_bits(m: int) -> OpProfile:
     """Generate *m* random bits (multiply-xor PRNG steps)."""
     if m <= 0:
@@ -102,6 +122,7 @@ def profile_random_bits(m: int) -> OpProfile:
     return OpProfile(int_ops=4 * m, stores=m / 8, branches=m / 16)
 
 
+@_interned
 def profile_pointer_walk(m: int, region: int, word_bytes: int = 8) -> OpProfile:
     """Serial pointer chase over *m* nodes in a *region*-word structure.
 

@@ -97,7 +97,12 @@ One key function and one set of rules serve both tiers:
   printed again.
 
 The memory tier is a 1 MiB LRU that keeps no entry above 64 KiB
-(:mod:`repro.store.memory`).  It also holds **recorded runs**
+(:mod:`repro.store.memory`).  The tier learns a capture's size only
+by pickling it, so once one capture of a batch is refused for its size,
+the rest of that batch is not offered to it (fig3's nine ~88 KB run
+records are all one size).  A later capture of that batch that would
+have fit is then not kept either: a lost hit next time, never a wrong
+result.  The memory tier also holds **recorded runs**
 (:func:`recorded_run`): a sample-sort program already run for another
 machine is priced, not run again (:func:`repro.qsmlib.price_run`),
 because fig4–6, fig8 and table4 vary only ``l``, ``o`` or the topology
@@ -524,18 +529,25 @@ def _cached_map(
     # capture and double-counted on every replay.
     result_store.defer_obs_mirror()
 
+    # The memory tier refuses only captures over its entry cap; after
+    # one such refusal the rest of the batch is not pickled to find out.
+    offering = True
+
     def settle(i: int, entry: _Entry, led: bool = True) -> None:
         """Keep and count one computed point; release its flight if led."""
+        nonlocal offering
         done[slots[i]] = entry
         key = keys[i]
         if key is None:
             return
         status, value = entry
-        if status == "ok":
+        if status == "ok" and offering:
             try:
-                tier.put_capture(key, value)
+                kept = tier.put_capture(key, value)
             except (pickle.PicklingError, TypeError, AttributeError):
                 pass  # an unpicklable result is returned, not kept
+            else:
+                offering = kept or not isinstance(tier, result_store.MemoryStore)
         if led:
             result_store.flight_finish(key)
         result_store.record(

@@ -3,15 +3,25 @@
 During a ``sync()``, the library "first builds and distributes a
 communications plan that indicates how many gets and puts will occur
 between each pair of nodes" (§3.1.2).  This module computes those
-matrices (vectorised over the numpy index arrays of each request) and
-the phase-semantics bookkeeping (kappa contention, read/write-overlap
-checking).
+matrices and the phase-semantics bookkeeping (kappa contention,
+read/write-overlap checking).
+
+All three read one grouping of the phase's requests,
+:class:`PhaseRequests`: each kind (puts, gets) split by target shared
+array, every processor's requests together.  The matrices then cost one
+owner lookup and one ``bincount`` of ``src·p + owner`` per (array,
+kind), however many processors and calls queued them; contiguous spans
+are counted in closed form by
+:meth:`~repro.qsmlib.layout.LayoutMap.range_owner_counts` and never
+materialised.  Counts are integers, so the matrices equal the
+per-request sums exactly.  The driver groups a phase once and hands the
+grouping to all three; each also accepts the queues themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,12 +51,6 @@ class PhaseTraffic:
     def p(self) -> int:
         return self.put_words.shape[0]
 
-    def remote_put_row(self, pid: int) -> int:
-        return int(self.put_words[pid].sum())
-
-    def remote_get_row(self, pid: int) -> int:
-        return int(self.get_words[pid].sum())
-
     def expected_data_sources(self, pid: int) -> List[int]:
         """Nodes that will send a data message (puts and/or get requests) to *pid*."""
         inbound = self.put_words[:, pid] + self.get_words[:, pid]
@@ -57,68 +61,100 @@ class PhaseTraffic:
         return [d for d in range(self.p) if d != pid and self.get_words[pid, d] > 0]
 
 
-def _owner_counts(requests, p: int) -> np.ndarray:
-    """Owner histogram for one queue's puts or gets.
+class ArrayRequests:
+    """One kind of a phase's requests to one shared array, in queue
+    order: ``reqs[k]`` was queued by processor ``pids[k]``."""
 
-    Contiguous range requests use the closed-form
-    :meth:`~repro.qsmlib.layout.LayoutMap.range_owner_counts` (no index
-    array is ever materialised); the rest are grouped by target array so
-    each array pays one ``owner_of`` + ``np.bincount`` over the
-    concatenated index arrays, however many individual get/put calls the
-    program issued.  Counts are integers, so both shortcuts are exact —
-    ``build_traffic`` output is identical to the per-request
-    formulation.
-    """
-    counts = np.zeros(p, dtype=np.int64)
-    groups: Dict[int, Tuple[SharedArray, List[np.ndarray]]] = {}
-    for req in requests:
-        span = req.span
-        if span is not None:
-            req.arr.map.range_owner_counts(span[0], span[1], out=counts)
-            continue
-        entry = groups.get(req.arr.aid)
-        if entry is None:
-            groups[req.arr.aid] = (req.arr, [req.indices])
-        else:
-            entry[1].append(req.indices)
-    for arr, idx_lists in groups.values():
-        idx = idx_lists[0] if len(idx_lists) == 1 else np.concatenate(idx_lists)
+    __slots__ = ("arr", "pids", "reqs")
+
+    def __init__(self, arr: SharedArray) -> None:
+        self.arr = arr
+        self.pids: List[int] = []
+        self.reqs: list = []
+
+    def indices(self) -> np.ndarray:
+        """Every request's indices (spans materialised) concatenated in
+        queue order."""
+        return np.concatenate([req.indices for req in self.reqs])
+
+    def count_words(self, words: np.ndarray) -> None:
+        """Add ``words[src, owner]``, the words each processor *src*
+        touches on each owner, into the ``(p, p)`` matrix *words*."""
+        p = words.shape[0]
+        arr = self.arr
+        srcs: List[int] = []
+        parts: List[np.ndarray] = []
+        for pid, req in zip(self.pids, self.reqs):
+            span = req.span
+            if span is not None:
+                arr.map.range_owner_counts(span[0], span[1], out=words[pid])
+            else:
+                srcs.append(pid)
+                parts.append(req.indices)
+        if not parts:
+            return
         # Indices were bounds-checked when the requests were queued, so
-        # the owner lookup here skips re-validation.
-        counts += np.bincount(arr.owner_of(idx, validate=False), minlength=p)
-    return counts
+        # the owner lookup skips re-validation.
+        owners = arr.owner_of(np.concatenate(parts), validate=False)
+        rows = np.repeat(np.array(srcs, dtype=np.int64) * p, [idx.size for idx in parts])
+        words += np.bincount(rows + owners, minlength=p * p).reshape(p, p)
 
 
-def build_traffic(queues: Sequence[RequestQueue], p: int) -> PhaseTraffic:
+class PhaseRequests:
+    """A phase's queued requests grouped by kind and target array.
+
+    ``puts`` and ``gets`` map an array id to its :class:`ArrayRequests`,
+    in order of first use over the queues taken in order.
+    """
+
+    __slots__ = ("puts", "gets")
+
+    def __init__(self, queues: Sequence[RequestQueue]) -> None:
+        self.puts: Dict[int, ArrayRequests] = {}
+        self.gets: Dict[int, ArrayRequests] = {}
+        for q in queues:
+            pid = q.pid
+            for groups, reqs in ((self.puts, q.puts), (self.gets, q.gets)):
+                for req in reqs:
+                    group = groups.get(req.arr.aid)
+                    if group is None:
+                        group = groups[req.arr.aid] = ArrayRequests(req.arr)
+                    group.pids.append(pid)
+                    group.reqs.append(req)
+
+
+Requests = Union[PhaseRequests, Sequence[RequestQueue]]
+
+
+def _grouped(requests: Requests) -> PhaseRequests:
+    return requests if isinstance(requests, PhaseRequests) else PhaseRequests(requests)
+
+
+def build_traffic(requests: Requests, p: int) -> PhaseTraffic:
     """Aggregate all queued requests into per-pair word-count matrices."""
+    requests = _grouped(requests)
     put_words = np.zeros((p, p), dtype=np.int64)
     get_words = np.zeros((p, p), dtype=np.int64)
-    local_words = np.zeros(p, dtype=np.int64)
-
-    for q in queues:
-        if q.puts:
-            counts = _owner_counts(q.puts, p)
-            local_words[q.pid] += counts[q.pid]
-            counts[q.pid] = 0
-            put_words[q.pid] += counts
-        if q.gets:
-            counts = _owner_counts(q.gets, p)
-            local_words[q.pid] += counts[q.pid]
-            counts[q.pid] = 0
-            get_words[q.pid] += counts
-
+    for group in requests.puts.values():
+        group.count_words(put_words)
+    for group in requests.gets.values():
+        group.count_words(get_words)
+    local_words = put_words.diagonal() + get_words.diagonal()
+    np.fill_diagonal(put_words, 0)
+    np.fill_diagonal(get_words, 0)
     return PhaseTraffic(put_words, get_words, local_words, kappa=None)
 
 
-def compute_kappa(queues: Sequence[RequestQueue]) -> int:
+def compute_kappa(requests: Requests) -> int:
     """Maximum number of accesses to any single word this phase (QSM kappa)."""
-    per_array: Dict[int, Tuple[SharedArray, List[np.ndarray]]] = {}
-    for q in queues:
-        for req in list(q.puts) + list(q.gets):
-            per_array.setdefault(req.arr.aid, (req.arr, []))[1].append(req.indices)
+    requests = _grouped(requests)
+    per_array: Dict[int, tuple] = {}
+    for groups in (requests.puts, requests.gets):
+        for aid, group in groups.items():
+            per_array.setdefault(aid, (group.arr, []))[1].extend(r.indices for r in group.reqs)
     kappa = 0
-    for arr, idx_lists in per_array.values():
-        idx = np.concatenate(idx_lists)
+    for arr, parts in per_array.values():
+        idx = np.concatenate(parts)
         if idx.size == 0:
             continue
         counts = np.bincount(idx, minlength=arr.n)
@@ -126,24 +162,20 @@ def compute_kappa(queues: Sequence[RequestQueue]) -> int:
     return kappa
 
 
-def check_phase_semantics(queues: Sequence[RequestQueue]) -> None:
+def check_phase_semantics(requests: Requests) -> None:
     """Enforce §2: no word may be both read and written in one phase.
 
     Raises :class:`QSMSemanticsError` naming the first offending array.
     """
-    reads: Dict[int, Tuple[SharedArray, List[np.ndarray]]] = {}
-    writes: Dict[int, Tuple[SharedArray, List[np.ndarray]]] = {}
-    for q in queues:
-        for req in q.gets:
-            reads.setdefault(req.arr.aid, (req.arr, []))[1].append(req.indices)
-        for req in q.puts:
-            writes.setdefault(req.arr.aid, (req.arr, []))[1].append(req.indices)
-    for aid, (arr, write_lists) in writes.items():
-        if aid not in reads:
+    requests = _grouped(requests)
+    for aid, writes in requests.puts.items():
+        reads = requests.gets.get(aid)
+        if reads is None:
             continue
+        arr = writes.arr
         mask = np.zeros(arr.n, dtype=bool)
-        mask[np.concatenate(write_lists)] = True
-        read_idx = np.concatenate(reads[aid][1])
+        mask[writes.indices()] = True
+        read_idx = reads.indices()
         overlap = mask[read_idx]
         if overlap.any():
             word = int(read_idx[overlap.argmax()])
@@ -161,7 +193,9 @@ def apply_phase_semantics(queues: Sequence[RequestQueue]) -> None:
     realisation of the queue-write model's "arbitrary winner").
     """
     # Contiguous spans gather/scatter through slices (a memcpy) instead
-    # of fancy indexing; the result is element-for-element the same.
+    # of fancy indexing; the result is element-for-element the same.  A
+    # slice is a view, so a span's get copies it; fancy indexing already
+    # returns a copy.
     for q in queues:
         for req in q.gets:
             span = req.span
@@ -169,7 +203,7 @@ def apply_phase_semantics(queues: Sequence[RequestQueue]) -> None:
                 start, count = span
                 req.handle._fulfill(req.arr.data[start : start + count].copy())
             else:
-                req.handle._fulfill(req.arr.data[req.indices].copy())
+                req.handle._fulfill(req.arr.data[req.indices])
     for q in queues:
         for req in q.puts:
             span = req.span

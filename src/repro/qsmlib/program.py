@@ -56,6 +56,7 @@ from repro.qsmlib.context import QSMContext, SharedArrayRef, SyncToken
 from repro.qsmlib.costmodel import CommCostModel
 from repro.qsmlib.layout import Layout
 from repro.qsmlib.plan import (
+    PhaseRequests,
     PhaseTraffic,
     apply_phase_semantics,
     build_traffic,
@@ -254,9 +255,12 @@ class QSMMachine:
             # Richer diagnostics (pids, cells, enqueue file:line) than the
             # plain check below; in error mode it raises first.
             self._sanitizer.check_phase(queues, phase_idx)
+        # One grouping by kind and target array serves the semantics
+        # check, kappa and the traffic count.
+        requests = PhaseRequests(queues)
         if self.config.check_semantics:
-            check_phase_semantics(queues)
-        kappa = compute_kappa(queues) if self.config.track_kappa else None
+            check_phase_semantics(requests)
+        kappa = compute_kappa(requests) if self.config.track_kappa else None
 
         drains = [ctx._drain_compute() for ctx in ctxs]
         compute_cycles = np.array([d[0] for d in drains])
@@ -266,7 +270,7 @@ class QSMMachine:
             for key, value in ctx._drain_observations():
                 result.observations.setdefault(key, []).append((phase_idx, pid, value))
 
-        traffic = build_traffic(queues, p)
+        traffic = build_traffic(requests, p)
         record = PhaseRecord(
             index=phase_idx,
             compute_cycles=compute_cycles,

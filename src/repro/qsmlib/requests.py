@@ -6,6 +6,14 @@ Per the bulk-synchronous contract (§2), ``get``/``put`` calls merely
 current phase; each request carries numpy index/value arrays so that
 per-owner splitting stays vectorised.
 
+Enqueueing is the per-call half of a phase's cost, so it does the
+least it can: an index array is bounds-checked with one reduction (its
+maximum read as unsigned, which also catches negative indices; the
+endpoints are computed only to name them in the error), and a
+contiguous range is stored as a ``(start, count)`` span.  The
+per-owner counting is left to the sync, which groups every
+processor's requests by array (:class:`repro.qsmlib.plan.PhaseRequests`).
+
 Semantics implemented (and enforced) from §2:
 
 * values returned by gets issued in a phase reflect the shared memory
@@ -260,12 +268,13 @@ class RequestQueue:
 
 def _as_index_array(arr: SharedArray, indices) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size:
+    # Read as unsigned, a negative index is at least 2**63, above any
+    # array length, so one reduction checks both bounds.
+    if idx.size and idx.view(np.uint64).max() >= arr.n:
         lo, hi = int(idx.min()), int(idx.max())
-        if lo < 0 or hi >= arr.n:
-            raise IndexError(
-                f"indices [{lo}, {hi}] out of bounds for {arr.name!r} of length {arr.n}"
-            )
+        raise IndexError(
+            f"indices [{lo}, {hi}] out of bounds for {arr.name!r} of length {arr.n}"
+        )
     return idx
 
 

@@ -84,3 +84,68 @@ def test_empty_index_request_allowed(arr):
     q = RequestQueue(pid=0)
     h = q.add_get(arr, np.array([], dtype=np.int64))
     assert h.indices.size == 0
+
+
+# A bounds check is one reduction over the indices read as unsigned; a
+# failing one still names both endpoints.
+INPUTS = {
+    "int64": lambda idx: np.array(idx, dtype=np.int64),
+    "int32": lambda idx: np.array(idx, dtype=np.int32),
+    "list": list,
+}
+OUT_OF_BOUNDS = {
+    "negative-only": ([-3, -1], -3, -1),
+    "too-large-only": ([100, 250], 100, 250),
+    "mixed": ([5, -2, 99, 100], -2, 100),
+    "int64-extremes": ([-(2**63), 2**63 - 1], -(2**63), 2**63 - 1),
+}
+
+
+def _enqueue(q, arr, op, indices):
+    if op == "get":
+        return q.add_get(arr, indices)
+    return q.add_put(arr, indices, 0)
+
+
+@pytest.mark.parametrize("op", ["get", "put"])
+@pytest.mark.parametrize(
+    "kind, case",
+    [
+        pytest.param(kind, case, id=f"{kind}-{case}")
+        for kind in sorted(INPUTS)
+        for case in OUT_OF_BOUNDS
+        if not (kind == "int32" and case == "int64-extremes")
+    ],
+)
+def test_out_of_bounds_names_both_endpoints(arr, op, kind, case):
+    idx, lo, hi = OUT_OF_BOUNDS[case]
+    q = RequestQueue(pid=0)
+    with pytest.raises(IndexError) as exc:
+        _enqueue(q, arr, op, INPUTS[kind](idx))
+    assert str(exc.value) == f"indices [{lo}, {hi}] out of bounds for 'a' of length 100"
+    assert q.empty
+
+
+@pytest.mark.parametrize("op", ["get", "put"])
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_in_bounds_and_empty_indices_pass(arr, op, kind):
+    q = RequestQueue(pid=0)
+    for idx in ([], [0, 99, 0], [99]):
+        _enqueue(q, arr, op, INPUTS[kind](idx))
+    requests = q.gets if op == "get" else q.puts
+    assert [list(r.indices) for r in requests] == [[], [0, 99, 0], [99]]
+    assert all(r.indices.dtype == np.int64 for r in requests)
+
+
+@pytest.mark.parametrize("op", ["get", "put"])
+def test_armed_sanitizer_records_out_of_bounds(arr, op, sanitizer_warn, capsys):
+    q = RequestQueue(pid=3, sanitizer=sanitizer_warn)
+    with pytest.raises(IndexError, match=r"indices \[-1, 100\] out of bounds"):
+        _enqueue(q, arr, op, [-1, 100])
+    (diag,) = sanitizer_warn.diagnostics
+    assert diag.code == "QS004" and diag.pids == (3,)
+    assert diag.message == (
+        f"pid 3 enqueued an out-of-bounds {op} on 'a': "
+        "indices [-1, 100] out of bounds for 'a' of length 100"
+    )
+    assert "QS004" in capsys.readouterr().err

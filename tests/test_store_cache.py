@@ -17,6 +17,7 @@ import os
 import pickle
 import sys
 import threading
+import types
 import zlib
 
 import pytest
@@ -515,6 +516,32 @@ class TestProcessMemo(_TierRules):
         assert (len(memory), memory.nbytes) == held  # evicting nothing
         parallel_map(_counted_square, [1, 2], jobs=1)
         assert _executions() == 4
+
+    def test_over_cap_batch_pickles_one_capture(self, count_file, monkeypatch):
+        from repro.store import memory
+
+        pickled = []
+
+        def dumps(obj, protocol):
+            pickled.append(obj)
+            return pickle.dumps(obj, protocol=protocol)
+
+        monkeypatch.setattr(memory, "pickle", types.SimpleNamespace(
+            dumps=dumps, loads=pickle.loads, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL
+        ))
+        big = MEMO_ENTRY_CAP_BYTES
+        sizes = [big, big + 1, big + 2, 8]
+        assert parallel_map(_counted_bytes, sizes, jobs=1) == [bytes(n) for n in sizes]
+        assert len(pickled) == 1  # the first capture, refused for its size
+        # The batch's last point would have fit, but it was not offered:
+        # it runs again in the next batch, which keeps it.
+        assert len(store.memory_store()) == 0
+        assert parallel_map(_counted_bytes, [8], jobs=1) == [bytes(8)]
+        assert _executions() == 5 and len(pickled) == 2
+        assert len(store.memory_store()) == 1
+        # A batch that fits is pickled and kept point by point.
+        parallel_map(_counted_bytes, [1, 2, 3], jobs=1)
+        assert len(pickled) == 5 and len(store.memory_store()) == 4
 
     def test_table4_replays_fig4_points(self, sample_sort_calls):
         from repro.experiments.registry import run_experiment
