@@ -9,7 +9,6 @@ from repro.analysis.crossover import (
     interpolate_crossover,
 )
 from repro.analysis.extrapolate import n_min_per_proc, table4_rows
-from repro.analysis.speedup import ScalingPoint, break_even_p, scaling_point, scaling_table
 
 __all__ = [
     "relative_error",
@@ -22,8 +21,4 @@ __all__ = [
     "interpolate_crossover",
     "n_min_per_proc",
     "table4_rows",
-    "ScalingPoint",
-    "break_even_p",
-    "scaling_point",
-    "scaling_table",
 ]

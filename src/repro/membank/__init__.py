@@ -18,7 +18,7 @@ rebuild the experiment as a closed-loop queueing simulation:
   ``i+1`` — the hand-placed ideal).
 
 :func:`~repro.membank.microbench.run_microbenchmark` replays every
-processor's accesses in one flat event heap
+processor's accesses on one event calendar
 (:func:`~repro.membank.kernel.replay`) and reports the mean remote
 access time, reproducing Figure 7's qualitative result:
 NoConflict ≤ Random ≪ Conflict, with Random within tens of percent of

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.membank.kernel import DELAY, Stage
+from repro.util.validation import check_nonnegative, check_positive
 
 
 class Interconnect:
@@ -49,8 +50,7 @@ class BusInterconnect(Interconnect):
     """
 
     def __init__(self, occupancy_cycles: float, width: int = 2) -> None:
-        if occupancy_cycles <= 0:
-            raise ValueError("bus occupancy must be positive")
+        check_positive("occupancy_cycles", occupancy_cycles)
         if width < 1:
             raise ValueError(f"bus width must be >= 1, got {width}")
         self.occupancy_cycles = occupancy_cycles
@@ -86,8 +86,11 @@ class EthernetInterconnect(Interconnect):
         stack_cycles: float,
         propagation_cycles: float = 0.0,
     ) -> None:
-        if n_nodes < 1 or frame_cycles <= 0 or stack_cycles < 0 or propagation_cycles < 0:
-            raise ValueError("invalid Ethernet timing parameters")
+        if n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+        check_positive("frame_cycles", frame_cycles)
+        check_nonnegative("stack_cycles", stack_cycles)
+        check_nonnegative("propagation_cycles", propagation_cycles)
         self.n_nodes = n_nodes
         self.frame_cycles = frame_cycles
         self.stack_cycles = stack_cycles
@@ -121,8 +124,10 @@ class TorusInterconnect(Interconnect):
     """
 
     def __init__(self, n_nodes: int, hop_cycles: float, inject_cycles: float) -> None:
-        if n_nodes < 1 or hop_cycles < 0 or inject_cycles < 0:
-            raise ValueError("invalid torus parameters")
+        if n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+        check_nonnegative("hop_cycles", hop_cycles)
+        check_nonnegative("inject_cycles", inject_cycles)
         self.n_nodes = n_nodes
         self.hop_cycles = hop_cycles
         self.inject_cycles = inject_cycles

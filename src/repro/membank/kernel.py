@@ -10,13 +10,14 @@ tuple of *stages* (the interconnect supplies the trips, see
 * ``(r, cycles)`` with ``r >= 0`` — acquire FCFS resource ``r``, hold it
   for ``cycles``, release it.
 
-:func:`replay` runs every processor in one ``(time, seq, pid)`` heap.
+:func:`replay` runs every processor on one event calendar: a FIFO
+``deque`` of pids per distinct due time, and a heap of those due times.
 Its timings are bit-identical to running each processor as a generator
 process on :class:`~repro.sim.Simulator` — a timeout per delay, a
 request, timeout and release of a :class:`~repro.sim.Resource` per
-hold; the test suite keeps that model as its oracle — because the heap
-gets one entry for each event that simulator schedules, pushed at the
-same point in processing order:
+hold; the test suite keeps that model as its oracle — because the
+calendar gets one entry for each event that simulator schedules, pushed
+at the same point in processing order:
 
 * a delay, or a hold once granted, pushes a timeout at ``now + cycles``;
 * a grant is an entry at ``now``, whether the resource was free or a
@@ -24,11 +25,23 @@ same point in processing order:
   over before the releasing processor moves on;
 * processors start in pid order at t = 0, before any other entry.
 
-Same-instant entries pop in push order, so every tie breaks as it does
-in the simulator.  The simulator also processes one finish event per
-processor, which changes no timing; :attr:`Replay.events` counts it, so
-a caller that folds the total into ``sim.event_count`` reports the
-simulator's event count unchanged.
+The simulator processes its entries in ``(time, seq)`` order, ``seq``
+being push order, so every tie breaks as it does there.  The calendar
+keeps that order without storing ``seq``: entries due at one time wait
+in their deque in push order, and the heap hands out the due times in
+increasing order.  The deque of the instant being drained stays in the
+calendar under ``now``, so an entry pushed at ``now`` — a grant, a
+handover, a zero-length stage, or a positive duration that rounds away
+(``now + cycles == now``) — queues behind every entry already due then,
+where its ``seq`` would place it.  Only a new due time costs a heap
+push, and most pushes are ties: in fig7 ``--fast``, 35% land at ``now``
+and 33% on a due time already queued.  This needs every stage's cycles
+finite and ``>= 0``, so that no entry falls due before ``now``.
+
+The simulator also processes one finish event per processor, which
+changes no timing; :attr:`Replay.events` counts it, so a caller that
+folds the total into ``sim.event_count`` reports the simulator's event
+count unchanged.
 """
 
 from __future__ import annotations
@@ -86,6 +99,10 @@ def replay(
     """Run ``programs[pid]`` (one stage tuple per access) on every
     processor; resource ``r`` has ``capacities[r]`` slots.
 
+    Every stage's cycles must be finite and ``>= 0``; the machine
+    configs and interconnects of :mod:`repro.membank` check theirs when
+    built, and no stage is checked here.
+
     With a *sim*, the run's events fold into ``sim.event_count`` and the
     clock ends at the last event.  If ``sim.obs`` is on, each access is a
     ``membank.access`` span on its processor's track (attributes
@@ -106,24 +123,42 @@ def replay(
     held: list = [None] * p  # start of the hold in progress
     access = [-1] * p  # index of its current access
     begun = [0] * p  # start time of its current access
-    heap: list = [(0, pid, pid) for pid in range(p)]
-    seq = p
+    current = deque(range(p))  # pids due at `now`, in push order
+    # Due time -> its pids in push order; `now` keeps `current`, so a
+    # push that lands at `now` joins the instant being drained.
+    due = {0: current}
+    times: list = []  # heap of the due times after `now`
+    seq = p  # events pushed, the starts included
     now = 0
-    while heap:
-        now, _seq, pid = heappop(heap)
+    while True:
+        if current:
+            pid = current.popleft()
+        elif times:
+            del due[now]
+            now = heappop(times)
+            current = due[now]
+            pid = current.popleft()
+        else:
+            break
         r, cycles = stage[pid]
         if r >= 0:
             start = held[pid]
             if start is None:  # granted: hold the resource
                 held[pid] = now
-                heappush(heap, (now + cycles, seq, pid))
                 seq += 1
+                t = now + cycles
+                q = due.get(t)
+                if q is None:
+                    due[t] = deque((pid,))
+                    heappush(times, t)
+                else:
+                    q.append(pid)
                 continue
             held[pid] = None
             busy[r] += now - start
             queue = waiters[r]
             if queue:  # hand the slot over before this processor moves on
-                heappush(heap, (now, seq, queue.popleft()))
+                current.append(queue.popleft())
                 seq += 1
             else:
                 free[r] += 1
@@ -157,15 +192,21 @@ def replay(
                     sim._now = now
                     bank = banks[pid][access[pid]]
                     obs.instant("fault.bank_stall", pid, bank=bank, cycles=s[1])
-                heappush(heap, (now + s[1], seq, pid))
                 seq += 1
+                t = now + s[1]
+                q = due.get(t)
+                if q is None:
+                    due[t] = deque((pid,))
+                    heappush(times, t)
+                else:
+                    q.append(pid)
             elif free[r]:
                 free[r] -= 1
-                heappush(heap, (now, seq, pid))
+                current.append(pid)
                 seq += 1
             else:
                 waiters[r].append(pid)
-    # The heap drained, so every pushed entry (starts included) popped.
+    # Every due time drained, so every pushed entry (starts included) ran.
     run = Replay(now, seq + p, busy, capacities, stats)
     if sim is not None:
         sim._event_count += run.events

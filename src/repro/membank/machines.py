@@ -22,6 +22,7 @@ from repro.membank.interconnect import (
     Interconnect,
     TorusInterconnect,
 )
+from repro.util.validation import check_nonnegative, check_positive
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,9 @@ class MemoryMachineConfig:
     def __post_init__(self) -> None:
         if self.p < 1 or self.n_banks < 1:
             raise ValueError("p and n_banks must be >= 1")
-        if self.bank_service_cycles <= 0:
-            raise ValueError("bank service time must be positive")
-        if self.software_cycles < 0:
-            raise ValueError("software overhead must be >= 0")
-        if not self.clock_hz > 0:
-            raise ValueError(f"clock_hz must be positive, got {self.clock_hz!r}")
+        check_positive("bank_service_cycles", self.bank_service_cycles)
+        check_nonnegative("software_cycles", self.software_cycles)
+        check_positive("clock_hz", self.clock_hz)
 
     def cycles_to_us(self, cycles: float) -> float:
         return cycles / self.clock_hz * 1e6

@@ -11,7 +11,7 @@ An access is software overhead, the interconnect's trip to the bank,
 one hold of the bank (a single-slot FCFS resource after the
 interconnect's own), an injected stall if the fault plan schedules one,
 and the trip back; :func:`~repro.membank.kernel.replay` runs every
-processor's accesses in one flat event heap.
+processor's accesses on one event calendar.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the §4 memory-bank contention simulator."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -68,6 +69,29 @@ def test_clock_must_be_positive(clock_hz):
         _machine(clock_hz=clock_hz)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bank_service_cycles", math.nan),
+        ("bank_service_cycles", math.inf),
+        ("software_cycles", math.nan),
+        ("software_cycles", math.inf),
+        ("clock_hz", math.nan),
+        ("clock_hz", math.inf),
+    ],
+)
+def test_machine_config_rejects_non_finite(field, value):
+    fields = {"bank_service_cycles": 10.0, "software_cycles": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        MemoryMachineConfig(
+            name="tiny",
+            p=1,
+            n_banks=4,
+            make_interconnect=lambda: TorusInterconnect(1, 0.0, 0.0),
+            **fields,
+        )
+
+
 def test_bank_serializes_accesses():
     run = replay((1, 1), [[((0, 10.0),)]] * 4)
     assert run.now == 40.0  # fully serialised at bank 0
@@ -125,13 +149,47 @@ def test_torus_hops_scale_with_size():
     assert large.avg_hops > small.avg_hops
 
 
-def test_interconnect_validation():
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: BusInterconnect(occupancy_cycles=0.0), id="bus-zero"),
+        pytest.param(lambda: BusInterconnect(occupancy_cycles=math.nan), id="bus-nan"),
+        pytest.param(lambda: BusInterconnect(occupancy_cycles=math.inf), id="bus-inf"),
+        pytest.param(
+            lambda: EthernetInterconnect(n_nodes=0, frame_cycles=1.0, stack_cycles=0.0),
+            id="ethernet-no-nodes",
+        ),
+        pytest.param(
+            lambda: EthernetInterconnect(n_nodes=4, frame_cycles=math.inf, stack_cycles=1.0),
+            id="ethernet-frame-inf",
+        ),
+        pytest.param(
+            lambda: EthernetInterconnect(n_nodes=4, frame_cycles=1.0, stack_cycles=math.nan),
+            id="ethernet-stack-nan",
+        ),
+        pytest.param(
+            lambda: EthernetInterconnect(
+                n_nodes=4, frame_cycles=1.0, stack_cycles=0.0, propagation_cycles=math.inf
+            ),
+            id="ethernet-propagation-inf",
+        ),
+        pytest.param(
+            lambda: TorusInterconnect(n_nodes=4, hop_cycles=-1.0, inject_cycles=0.0),
+            id="torus-negative-hop",
+        ),
+        pytest.param(
+            lambda: TorusInterconnect(n_nodes=4, hop_cycles=math.nan, inject_cycles=1.0),
+            id="torus-hop-nan",
+        ),
+        pytest.param(
+            lambda: TorusInterconnect(n_nodes=4, hop_cycles=1.0, inject_cycles=math.inf),
+            id="torus-inject-inf",
+        ),
+    ],
+)
+def test_interconnect_validation(build):
     with pytest.raises(ValueError):
-        BusInterconnect(occupancy_cycles=0.0)
-    with pytest.raises(ValueError):
-        EthernetInterconnect(n_nodes=0, frame_cycles=1.0, stack_cycles=0.0)
-    with pytest.raises(ValueError):
-        TorusInterconnect(n_nodes=4, hop_cycles=-1.0, inject_cycles=0.0)
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,50 @@ def cases(draw):
     )
 
 
+def _machine(interconnect, p, n_banks, service, software=0.0):
+    return MemoryMachineConfig(
+        name=type(interconnect).__name__,
+        p=p,
+        n_banks=n_banks,
+        bank_service_cycles=service,
+        software_cycles=software,
+        make_interconnect=lambda: interconnect,
+    )
+
+
+#: Once the clock passes 2**54 the 1.5-cycle torus trips round away
+#: (``now + 1.5 == now``), so their timeouts fall due at the instant
+#: being drained, behind the grants and handovers already due there.
+ABSORBED = Case(
+    _machine(TorusInterconnect(8, 0.0, 1.5), p=6, n_banks=3, service=2.0**54),
+    RANDOM, 12, 0, 3, None, False,
+)
+#: Past 2**55 the 4-cycle software overhead is half an ulp and rounds
+#: away at every other instant; the 2**54-cycle trip after it then falls
+#: due with the bank holds granted at that instant.  Queued apart from
+#: those grants, it would run after them and reorder their hold ends.
+ABSORBED_BEHIND_GRANTS = Case(
+    _machine(TorusInterconnect(9, 0.0, 2.0**54), p=3, n_banks=2, service=2.0**54, software=4.0),
+    RANDOM, 6, 0, 2, None, False,
+)
+#: Zero-length stages, traced: the Ethernet stack delay and the whole
+#: torus trip take no time, so their timeouts fall due at ``now``.
+ZERO_ETHERNET = Case(
+    _machine(EthernetInterconnect(4, 2.5, stack_cycles=0.0, propagation_cycles=0.0), 8, 4, 4.0),
+    RANDOM, 30, 3, 5, None, True,
+)
+ZERO_TORUS = Case(
+    _machine(TorusInterconnect(8, hop_cycles=0.0, inject_cycles=0.0), 8, 4, 2.5),
+    SKEWED, 30, 3, 6, None, True,
+)
+#: Two bus slots for twelve processors, all on bank 0: a release hands
+#: its slot over at an instant other grants share.
+BUS_HANDOVERS = Case(
+    _machine(BusInterconnect(occupancy_cycles=4.0, width=2), 12, 8, 15.0),
+    CONFLICT, 40, 4, 7, None, False,
+)
+
+
 def _fig7_fast_grid(test):
     """Fig 7's fast grid at seeds 0 and 1, as fixed examples."""
     for seed in (0, 1):
@@ -163,6 +207,11 @@ def _key(span):
 
 
 @_fig7_fast_grid
+@example(case=ABSORBED)
+@example(case=ABSORBED_BEHIND_GRANTS)
+@example(case=ZERO_ETHERNET)
+@example(case=ZERO_TORUS)
+@example(case=BUS_HANDOVERS)
 @given(case=cases())
 @SLOWISH
 def test_kernel_matches_oracle(case):
