@@ -39,7 +39,9 @@ class Machine:
             self.sim, config.network, config.p, faults=self.faults,
             topology=config.topology,
         )
-        self.cpus: List[CPUModel] = [CPUModel(config.node) for _ in range(config.p)]
+        # Identical nodes share one model: it holds only memos of pure
+        # functions of the node config.
+        self.cpus: List[CPUModel] = [CPUModel.for_node(config.node)] * config.p
 
     @property
     def p(self) -> int:

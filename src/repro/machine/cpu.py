@@ -80,13 +80,21 @@ class OpProfile:
 
 
 class CPUModel:
-    """Convert :class:`OpProfile` chunks to cycle counts for one node."""
+    """Convert :class:`OpProfile` chunks to cycle counts for one node.
+
+    It holds nothing but memos of pure functions of its frozen node
+    config (``cost``, and its cache model's copy rates), so the p
+    identical nodes of a machine, and every machine built on that node
+    config, share one instance (:meth:`for_node`).
+    """
 
     #: cost() memos, one dict per distinct (frozen) node config —
     #: shared across CPUModel instances so the p per-node models of a
     #: machine, and fresh machines built for every sweep point, all hit
     #: the same cache.
     _shared_memos: dict = {}
+    #: :meth:`for_node`'s instances, one per distinct node config.
+    _shared: dict = {}
 
     def __init__(self, node: NodeConfig) -> None:
         self.node = node
@@ -95,6 +103,15 @@ class CPUModel:
         # immutable node config; memoised because SPMD programs charge
         # the same profile once per processor every phase.
         self._memo = CPUModel._shared_memos.setdefault(node, {})
+
+    @classmethod
+    def for_node(cls, node: NodeConfig) -> "CPUModel":
+        """The model of every node with config *node* (keyed like the
+        cost memos, by equality)."""
+        found = cls._shared.get(node)
+        if found is None:
+            found = cls._shared.setdefault(node, cls(node))
+        return found
 
     def cost(self, profile: OpProfile) -> Tuple[float, float]:
         """``(cycles, instructions)`` of *profile* on this node.

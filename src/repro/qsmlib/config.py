@@ -188,3 +188,19 @@ class SoftwareConfig:
         if rest:
             sizes.append(rest)
         return sizes
+
+
+#: :func:`default_software`'s configs, one per resolved sync path.
+_DEFAULT_SOFTWARE: dict = {}
+
+
+def default_software() -> SoftwareConfig:
+    """``SoftwareConfig()``: the default config for the sync path the
+    environment selects now, one shared object per path (it is frozen),
+    so a run config's key fragment is lowered once
+    (:mod:`repro.store.keys`)."""
+    path = _resolve_sync_path(None)
+    found = _DEFAULT_SOFTWARE.get(path)
+    if found is None:
+        found = _DEFAULT_SOFTWARE.setdefault(path, SoftwareConfig(sync_path=path))
+    return found

@@ -32,9 +32,9 @@ import numpy as np
 
 from repro.machine.cluster import Machine
 from repro.msg.collectives import CONTROL_BYTES, _children, _parent
-from repro.msg.mp import Endpoint
+from repro.msg.mp import Endpoint, make_endpoints
 from repro.qsmlib.config import SoftwareConfig, SyncPath
-from repro.qsmlib.costmodel import EpochTables, build_epoch_tables
+from repro.qsmlib.costmodel import ChunkLayout, EpochTables, build_epoch_tables
 from repro.qsmlib.epoch import execute_epoch_phase
 from repro.qsmlib.plan import PhaseTraffic
 
@@ -49,18 +49,23 @@ class PhaseTiming:
 
 
 class SyncEngine:
-    """Executes phases on one machine; keeps a running sync counter."""
+    """Executes phases on one machine; keeps a running sync counter.
+
+    *endpoints* may be ``None``: only the per-message oracle sends
+    through them, so they are then built when a phase first falls back
+    to it.
+    """
 
     def __init__(
         self,
         machine: Machine,
-        endpoints: Sequence[Endpoint],
+        endpoints: Optional[Sequence[Endpoint]],
         software: SoftwareConfig,
     ) -> None:
-        if len(endpoints) != machine.p:
+        if endpoints is not None and len(endpoints) != machine.p:
             raise ValueError("one endpoint per node required")
         self.machine = machine
-        self.endpoints = endpoints
+        self._endpoints = endpoints
         self.sw = software
         self._seq = 0
         #: Phases executed per sync path this engine's lifetime — how
@@ -70,22 +75,26 @@ class SyncEngine:
         #: kernel from p, the plan's cost and the phase's own timings).
         self.path_counts = {path.value: 0 for path in SyncPath}
 
+    @property
+    def endpoints(self) -> Sequence[Endpoint]:
+        if self._endpoints is None:
+            self._endpoints = make_endpoints(self.machine.network)
+        return self._endpoints
+
     # ------------------------------------------------------------------
-    def epoch_tables(self, traffic: Sequence[PhaseTraffic]) -> Iterable[Optional[EpochTables]]:
-        """The epoch tables of a run's phases, *traffic* in phase order,
-        built in one stacked pass and cut out phase by phase as they are
-        iterated; all ``None`` when the phases run on the per-message
-        oracle, which needs none."""
-        if not traffic or not self._epoch_eligible():
-            return [None] * len(traffic)
+    def epoch_tables(self, layout: ChunkLayout) -> Iterable[Optional[EpochTables]]:
+        """The epoch tables of the phases of a run whose chunk layout is
+        *layout*, priced in one stacked pass on this machine and cut out
+        phase by phase as they are iterated; all ``None`` when the phases
+        run on the per-message oracle, which needs none."""
+        if not layout.phases or not self._epoch_eligible():
+            return [None] * layout.phases
         config = self.machine.config
-        return build_epoch_tables(
-            traffic, self.sw, config.network, self.machine.cpus[0], topology=config.topology
-        )
+        return build_epoch_tables(layout, self.sw, config.network, topology=config.topology)
 
     def execute_phase(
         self,
-        traffic: PhaseTraffic,
+        traffic: Optional[PhaseTraffic],
         compute_cycles: np.ndarray,
         local_words: np.ndarray,
         tables: Optional[EpochTables] = None,
@@ -96,7 +105,9 @@ class SyncEngine:
         sync; ``local_words[pid]`` are requests served without the
         network (they still cost library handling time).  *tables* are
         the phase's entry of :meth:`epoch_tables`; without them an epoch
-        phase builds its own, as a run of one phase.
+        phase builds its own, as a run of one phase.  With tables and
+        observability off, the epoch kernel reads no *traffic*, which
+        may then be ``None``.
         """
         sim = self.machine.sim
         seq = self._seq
@@ -105,7 +116,12 @@ class SyncEngine:
         if self._epoch_eligible():
             self.path_counts["epoch"] += 1
             if tables is None:
-                (tables,) = self.epoch_tables([traffic])
+                (tables,) = build_epoch_tables(
+                    ChunkLayout([traffic], self.sw, self.machine.cpus[0]),
+                    self.sw,
+                    self.machine.config.network,
+                    topology=self.machine.config.topology,
+                )
             timing = PhaseTiming(
                 *execute_epoch_phase(
                     self.machine, self.sw, traffic, tables, compute_cycles, local_words, seq

@@ -11,14 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.machine.config import MachineConfig
+from repro.faults.plan import FaultPlan
+from repro.machine.config import ClusterTopology, MachineConfig, NetworkConfig
+from repro.qsmlib import RunConfig
 from repro.store import (
+    STORE_VERSION,
     NotStructural,
     ResultStore,
     SingleFlight,
     canonical,
     digest,
     point_key,
+    point_keys,
     request_key,
 )
 
@@ -100,6 +104,78 @@ class TestPointKey:
         a = request_key({"experiment": "fig1", "models": ["qsm-best"]})
         b = request_key({"experiment": "fig1", "models": ["bsp-whp"]})
         assert a != b
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0.0, -0.0),
+            (1600, 1600.0),
+        ],
+        ids=["signed-zero", "int-float"],
+    )
+    def test_equal_but_differently_lowered_fields_get_distinct_keys(self, values):
+        # Key fragments are cached per object, never by equality: each
+        # config below equals the other, but lowers to its own key, the
+        # first time (cold) and every time after (warm).
+        configs = [
+            MachineConfig(network=NetworkConfig(latency_cycles=value)) for value in values
+        ]
+        self._distinct(configs)
+
+    def test_bool_and_int_fields_get_distinct_keys(self):
+        self._distinct([RunConfig(check_semantics=True), RunConfig(check_semantics=1)])
+
+    @staticmethod
+    def _distinct(configs):
+        assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+        tasks = [(config, 4096, 1) for config in configs]
+        want = [
+            digest(["qsm-point", STORE_VERSION, "f", canonical(task), canonical(None)])
+            for task in tasks
+        ]
+        assert want[0] != want[1]
+        cold = [point_key("f", task) for task in tasks]
+        warm = [point_key("f", task) for task in tasks]
+        assert cold == warm == want
+        assert point_keys("f", tasks) == want
+        assert point_keys("f", tasks[::-1]) == want[::-1]
+
+    #: Keys computed before key fragments were cached: a disk store
+    #: written then must still replay with zero misses.
+    PINNED = {
+        "flat": "0f2526dafa07bb8b51942d77dd36509d55f785e484610b098127a5248e26101e",
+        "cluster": "625b6cd398e1d5fcd21604c2028c2afdd5055670d0184e90a8e5b41927d11dd1",
+        "faulted": "242b30c6c4178e10589eebef8f583ae1094caa1da82a01775d9f0565af764936",
+        "armed": "0fb751f4981d5022196ca58c9ac84ecffccc2d5fe9676528c8cdbc217cda7cc2",
+        "memory": "c366c2ebe710989b7fc350edd2be6dbbe4cd1f2e344325727df0a97cc1bc098f",
+        "recorded": "a0a3569308203ad20af160b43c2c3fc27c69d839476bcf4490b16076b4c3f093",
+    }
+
+    def test_keys_written_before_fragment_caching_still_match(self):
+        fn = "repro.experiments.sweeps._sweep_point_task"
+        flat = MachineConfig()
+        cluster = MachineConfig().with_topology(ClusterTopology(cores_per_node=4))
+        faulted = (
+            MachineConfig()
+            .with_network(latency_cycles=25600.0)
+            .with_faults(FaultPlan(seed=3, drop_prob=0.05))
+        )
+        run = RunConfig(machine=faulted, seed=1, check_semantics=False)
+        memory_env = {"store": None, "sync": "epoch", "jobs": 1, "policy": False}
+        for _ in range(2):  # cold, then with every fragment cached
+            keys = {
+                "flat": point_key(fn, (flat, 4096, 1), strict=True),
+                "cluster": point_key(fn, (cluster, 4096, 1), strict=True),
+                "faulted": point_key(fn, (faulted, 4096, 1), strict=True),
+                "armed": point_key(
+                    fn, (flat, 4096, 1), env={"faults": "drop=0.05,seed=3"}, strict=True
+                ),
+                "memory": point_keys(fn, [(cluster, 4096, 1)], env=memory_env, strict=True)[0],
+                "recorded": point_key(
+                    "recorded:sample_sort", (4096, run.recorded()), strict=True
+                ),
+            }
+            assert keys == self.PINNED
 
 
 # ----------------------------------------------------------------------
